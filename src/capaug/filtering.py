@@ -108,18 +108,38 @@ def parse_numbered(text: str) -> list[str]:
     return candidates
 
 
+class _PunctuationTable(dict):
+    """``str.translate`` table that drops Unicode punctuation (categories P*).
+
+    Entries are filled in on first lookup, one code point at a time, so
+    importing the module does not scan all of Unicode. Threads racing on a
+    first lookup store the same value, so one table serves them all.
+    """
+
+    def __missing__(self, code_point: int) -> int | None:
+        kept = None if unicodedata.category(chr(code_point)).startswith("P") else code_point
+        self[code_point] = kept
+        return kept
+
+
+_DROP_PUNCTUATION = _PunctuationTable()
+
+
 def normalize(caption: str) -> str:
     """Dedup key: lowercase, drop punctuation, collapse whitespace."""
-    lowered = caption.lower()
-    no_punct = "".join(ch for ch in lowered if not unicodedata.category(ch).startswith("P"))
-    return " ".join(no_punct.split())
+    return " ".join(caption.lower().translate(_DROP_PUNCTUATION).split())
 
 
-def _has_banned_token(caption: str, banned: set[str]) -> bool:
-    for token in caption.split():
-        if normalize(token) in banned:
-            return True
-    return False
+def _has_banned_token(caption: str, key: str, banned: set[str]) -> bool:
+    """Whether any whitespace token of ``caption`` normalizes to a banned word.
+
+    ``key`` is ``normalize(caption)``, whose words are exactly the non-empty
+    normalized tokens. A punctuation-only token normalizes to "" and has no
+    word in ``key``, so that case is checked token by token.
+    """
+    if not banned.isdisjoint(key.split()):
+        return True
+    return "" in banned and any(not normalize(token) for token in caption.split())
 
 
 def filter_captions(candidates: list[str], rules: FilterRules | None = None) -> FilterReport:
@@ -138,7 +158,7 @@ def filter_captions(candidates: list[str], rules: FilterRules | None = None) -> 
         words = len(caption.split())
         if failure_key and (key == failure_key or key.startswith(failure_key)):
             report.rejected.append((caption, RejectReason.FAILURE))
-        elif _has_banned_token(caption, banned):
+        elif _has_banned_token(caption, key, banned):
             report.rejected.append((caption, RejectReason.BANNED_WORD))
         elif words > rules.max_words:
             report.rejected.append((caption, RejectReason.TOO_LONG))

@@ -322,17 +322,21 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
         logger.info("resume: %d clips carried over, %d to process",
                     len(clips) - len(pending), len(pending))
 
-    workers = (config.llm.max_concurrent_requests if config.llm is not None
-               else LlmConfig().max_concurrent_requests)
+    def augment(clip):
+        return _augment_one(config, template, complete_fn, clip)
+
+    # Only the HTTP client waits on I/O; in-process backends are CPU-bound
+    # under the GIL, where a thread pool adds overhead and no parallelism.
+    if config.llm is not None:
+        with ThreadPoolExecutor(max_workers=config.llm.max_concurrent_requests) as pool:
+            outcomes = list(pool.map(augment, pending))
+    else:
+        outcomes = list(map(augment, pending))
     pending_stats: dict[str, ClipAugmentation] = {}
-    if pending:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda clip: _augment_one(config, template, complete_fn, clip), pending))
-        for clip, (clip_stats, accepted) in zip(pending, outcomes):
-            additions[clip.clip_id] = accepted
-            pending_stats[clip.clip_id] = clip_stats
-            stats.per_clip[clip.clip_id] = clip_stats
+    for clip, (clip_stats, accepted) in zip(pending, outcomes):
+        additions[clip.clip_id] = accepted
+        pending_stats[clip.clip_id] = clip_stats
+        stats.per_clip[clip.clip_id] = clip_stats
 
     failures = stats.gateway_failures()
     if clips and len(failures) / len(clips) > ABORT_FAILURE_FRACTION:
@@ -363,9 +367,12 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
         stats_text = json.dumps(stats.to_dict(), indent=2, sort_keys=True,
                                 ensure_ascii=False) + "\n"
         (out_dir / STATS_FILENAME).write_text(stats_text, encoding="utf-8")
+        failures_path = out_dir / FAILURES_FILENAME
         if failures:
             failure_text = json.dumps({"failed_clips": failures}, indent=2) + "\n"
-            (out_dir / FAILURES_FILENAME).write_text(failure_text, encoding="utf-8")
+            failures_path.write_text(failure_text, encoding="utf-8")
+        else:
+            failures_path.unlink(missing_ok=True)
     return result, stats
 
 
@@ -430,7 +437,8 @@ def run_evaluation(config: ExperimentConfig,
 
     Per-clip estimates feeding an ensemble are kept (and written when an
     output directory is configured) so ensemble rows are reproducible from
-    run artifacts. A separator failure on a clip excludes that clip from the
+    run artifacts. A separator or scoring failure on a clip (for example a
+    silent reference with ``epsilon=0``) excludes that clip from the
     separator's aggregate and is reported, not fatal.
     """
     if not config.separators:
@@ -452,14 +460,14 @@ def run_evaluation(config: ExperimentConfig,
                 oracle_sources = (item.reference, item.interference)
             try:
                 estimate = separate(spec, item.mixture, item.caption, oracle_sources)
+                triple = compute_triple(estimate, item.mixture, item.reference,
+                                        config.epsilon)
             except (ExternalSeparatorError, ValueError) as exc:
                 logger.warning("separator %s failed on clip %s: %s",
                                name, item.clip_id, exc)
                 result.failed.append(item.clip_id)
                 continue
             estimates[name][item.clip_id] = estimate
-            triple = compute_triple(estimate, item.mixture, item.reference,
-                                    config.epsilon)
             result.per_clip.append(ClipScore(item.clip_id, triple))
         _score(name, result, config.clamp_db)
         results[name] = result
@@ -473,10 +481,16 @@ def run_evaluation(config: ExperimentConfig,
             if any(m is None for m in members):
                 result.failed.append(item.clip_id)
                 continue
-            combined = ensemble(members, list(weights))
+            try:
+                combined = ensemble(members, list(weights))
+                triple = compute_triple(combined, item.mixture, item.reference,
+                                        config.epsilon)
+            except ValueError as exc:
+                logger.warning("ensemble %s failed on clip %s: %s",
+                               ens_name, item.clip_id, exc)
+                result.failed.append(item.clip_id)
+                continue
             estimates[ens_name][item.clip_id] = combined
-            triple = compute_triple(combined, item.mixture, item.reference,
-                                    config.epsilon)
             result.per_clip.append(ClipScore(item.clip_id, triple))
         _score(ens_name, result, config.clamp_db)
         results[ens_name] = result

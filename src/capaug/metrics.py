@@ -85,11 +85,15 @@ def si_sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
     The reference is rescaled by ``<s_hat, s> / <s, s>`` before the energy
     ratio is formed, so any positive gain applied to the estimate cancels.
     An estimate orthogonal to the reference evaluates to -inf when eps=0.
+    A zero-energy reference is an error when eps=0; with eps > 0 its
+    projection is zero, so the whole estimate counts as error.
     """
     est, ref = _check_aligned(estimate, reference)
     ref_energy = float(np.sum(ref ** 2))
     if ref_energy == 0.0:
-        raise ValueError("zero-energy reference")
+        if epsilon == 0.0:
+            raise ValueError("zero-energy reference with epsilon=0")
+        return 10.0 * math.log10(epsilon / (float(np.sum(est ** 2)) + epsilon))
     alpha = float(np.dot(est, ref)) / ref_energy
     projection = alpha * ref
     target_energy = float(np.sum(projection ** 2))

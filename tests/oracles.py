@@ -6,6 +6,7 @@ library code is a meaningful cross-check rather than a tautology.
 """
 
 import math
+import unicodedata
 
 
 def sdr_brute(estimate, reference, eps=0.0):
@@ -38,9 +39,10 @@ def si_sdr_brute(estimate, reference, eps=0.0):
     for s, e in zip(reference, estimate):
         ref_energy += s * s
         dot += s * e
-    if ref_energy == 0.0:
+    if ref_energy == 0.0 and eps == 0.0:
         raise ValueError("zero-energy reference")
-    alpha = dot / ref_energy
+    # a silent reference projects every estimate to zero
+    alpha = dot / ref_energy if ref_energy else 0.0
     target_energy = 0.0
     err_energy = 0.0
     for s, e in zip(reference, estimate):
@@ -72,3 +74,11 @@ def clamp_mean_brute(values, clamp_db=60.0):
 def render_concat_brute(instruction, count, caption):
     """Expected rendering for templates without an inline caption slot."""
     return instruction.replace("{N}", str(count)) + "\n" + caption
+
+
+def normalize_brute(caption):
+    """Dedup key, one character at a time: lowercase, drop Unicode punctuation
+    (categories P*), collapse whitespace."""
+    lowered = caption.lower()
+    no_punct = "".join(ch for ch in lowered if not unicodedata.category(ch).startswith("P"))
+    return " ".join(no_punct.split())

@@ -1,10 +1,16 @@
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capaug import filtering
 from capaug.filtering import (FilterRules, RejectReason, filter_captions, normalize,
                               parse_numbered)
 from capaug.llm import mock_complete
+from oracles import normalize_brute
 
 
 def test_parse_circled_markers():
@@ -41,6 +47,49 @@ def test_normalize_examples():
 
 def test_normalize_strips_unicode_punctuation():
     assert normalize("a — dash…") == "a dash"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())  # the full Unicode range, astral planes included
+def test_normalize_matches_brute_force_oracle(caption):
+    assert normalize(caption) == normalize_brute(caption)
+
+
+def test_normalize_matches_oracle_on_every_code_point():
+    try:
+        for cp in range(sys.maxunicode + 1):
+            caption = "A" + chr(cp) + "b"
+            assert normalize(caption) == normalize_brute(caption), hex(cp)
+    finally:
+        # the lazily filled table now spans all of Unicode; release it
+        filtering._DROP_PUNCTUATION.clear()
+
+
+def test_normalize_table_shared_across_threads():
+    # the lazily filled table is shared by the HTTP backend's worker threads;
+    # racing first lookups of the same code points must still agree
+    filtering._DROP_PUNCTUATION.clear()
+    # astral scripts with scattered punctuation (Aegean, Ugaritic, Brahmi, ...)
+    captions = ["x " + "".join(chr(cp) for cp in range(start, start + 4096))
+                for start in range(0x10000, 0x18000, 4096)]
+    expected = [normalize_brute(c) for c in captions]
+    results: dict[int, list[str]] = {}
+
+    def work(worker: int) -> None:
+        results[worker] = [normalize(c) for c in captions]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: expected for i in range(8)}
 
 
 def test_filter_spec_example():
@@ -82,6 +131,15 @@ def test_banned_word_is_whole_token_only():
 def test_banned_word_case_and_punctuation():
     report = filter_captions(["Loud music Heard everywhere tonight"])
     assert report.rejected[0][1] == RejectReason.BANNED_WORD
+
+
+def test_punctuation_only_token_matches_empty_banned_word():
+    # "..." normalizes to "", so a caption with a punctuation-only token is
+    # banned even though that token leaves no word in the caption's key
+    rules = FilterRules(banned_words=("...",))
+    report = filter_captions(["a dog barks - twice", "a dog barks twice"], rules)
+    assert report.rejected == [("a dog barks - twice", RejectReason.BANNED_WORD)]
+    assert report.accepted == ["a dog barks twice"]
 
 
 def test_failure_prefix_match():

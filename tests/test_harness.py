@@ -1,15 +1,18 @@
 import json
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from capaug.audio import Waveform
 from capaug.corpus import new_manifest, read_manifest
 from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig,
                             HarnessError, make_synthetic_eval_set, run_augmentation,
                             run_evaluation)
-from capaug.llm import LlmError, RawResponse, mock_complete
+from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
 from capaug.separation import SeparatorSpec
 
 
@@ -195,6 +198,55 @@ class TestRunAugmentation:
         assert len(calls) == 1  # only the failed clip is reprocessed
         assert stats.gateway_failures() == []
 
+    def test_resume_clearing_every_failure_removes_failures_json(
+            self, tmp_path, synthetic_manifest):
+        def flaky(prompt):
+            if "kettle" in prompt.lower():
+                raise LlmError("boom")
+            return mock_complete(prompt, 0)
+
+        config = _mock_config(tmp_path)
+        run_augmentation(config, manifest=synthetic_manifest, complete_fn=flaky)
+        failures_path = Path(config.out_dir) / "failures.json"
+        assert failures_path.exists()
+
+        run_augmentation(config, manifest=synthetic_manifest,
+                         complete_fn=lambda prompt: mock_complete(prompt, 0))
+        assert not failures_path.exists()
+
+    def test_mock_backend_runs_on_calling_thread(self, synthetic_manifest):
+        threads = []
+
+        def recording(prompt):
+            threads.append(threading.get_ident())
+            return mock_complete(prompt, 0)
+
+        run_augmentation(_mock_config(), manifest=synthetic_manifest,
+                         complete_fn=recording)
+        assert threads == [threading.get_ident()] * 10
+
+    def test_http_backend_bounds_requests_in_flight(self, synthetic_manifest):
+        lock = threading.Lock()
+        in_flight = 0
+        peak = 0
+
+        def slow(prompt):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            time.sleep(0.05)
+            with lock:
+                in_flight -= 1
+            return mock_complete(prompt, 0)
+
+        config = ExperimentConfig(
+            use_mock_llm=False, seed=0,
+            llm=LlmConfig(endpoint_url="http://127.0.0.1:9/complete",
+                          max_concurrent_requests=2))
+        run_augmentation(config, manifest=synthetic_manifest, complete_fn=slow)
+        assert peak == 2
+
     def test_no_resume_reprocesses_everything(self, tmp_path, synthetic_manifest):
         config = _mock_config(tmp_path)
         run_augmentation(config, manifest=synthetic_manifest)
@@ -226,6 +278,15 @@ def _eval_config(tmp_path=None, epsilon=1e-8, **kwargs):
     out_dir = str(tmp_path / "eval") if tmp_path is not None else None
     return ExperimentConfig(separators=separators, epsilon=epsilon,
                             out_dir=out_dir, **kwargs)
+
+
+def _with_silent_reference(items):
+    """Make clip_001 all interference: a zero-energy reference."""
+    item = items[1]
+    item.mixture = item.interference
+    item.reference = Waveform(np.zeros_like(item.reference.samples),
+                              item.reference.sample_rate)
+    return items
 
 
 class TestRunEvaluation:
@@ -298,6 +359,31 @@ class TestRunEvaluation:
         result = run_evaluation(config, items)
         assert result.separators["pair"].failed == ["clip_000"]
         assert len(result.separators["pair"].per_clip) == 2
+
+    def test_silent_reference_scores_finite_with_epsilon(self):
+        items = _with_silent_reference(make_synthetic_eval_set(3, seed=6, duration_s=0.5))
+        result = run_evaluation(_eval_config(
+            ensembles={"pair": EnsembleDef(members=("identity", "oracle"))}), items)
+        for name, sep_result in result.separators.items():
+            assert sep_result.failed == [], name
+            assert len(sep_result.per_clip) == 3, name
+            silent = sep_result.per_clip[1]
+            assert silent.clip_id == "clip_001"
+            assert all(math.isfinite(v) for v in
+                       (silent.metrics.sdr_db, silent.metrics.sdri_db,
+                        silent.metrics.si_sdr_db)), name
+
+    def test_silent_reference_with_zero_epsilon_fails_only_that_clip(self, tmp_path):
+        items = _with_silent_reference(make_synthetic_eval_set(3, seed=6, duration_s=0.5))
+        result = run_evaluation(_eval_config(
+            tmp_path, epsilon=0.0,
+            ensembles={"pair": EnsembleDef(members=("identity", "oracle"))}), items)
+        for name, sep_result in result.separators.items():
+            assert sep_result.failed == ["clip_001"], name
+            assert [s.clip_id for s in sep_result.per_clip] == ["clip_000", "clip_002"]
+            assert sep_result.aggregate is not None
+        assert not (tmp_path / "eval" / "estimates" / "identity" / "clip_001.wav").exists()
+        assert (tmp_path / "eval" / "report.md").exists()
 
     def test_no_separators_rejected(self):
         with pytest.raises(ConfigError):

@@ -78,6 +78,27 @@ def test_si_sdr_zero_reference_rejected():
         si_sdr([1.0, 0.0], [0.0, 0.0])
 
 
+def test_si_sdr_zero_reference_with_epsilon_is_finite():
+    est = [1.0, -2.0, 0.5]
+    eps = 1e-8
+    expected = 10.0 * math.log10(eps / (5.25 + eps))
+    assert si_sdr(est, [0.0, 0.0, 0.0], eps) == pytest.approx(expected, abs=1e-12)
+    assert si_sdr_brute(est, [0.0, 0.0, 0.0], eps) == pytest.approx(expected, abs=1e-12)
+    assert si_sdr([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], eps) == 0.0
+
+
+def test_compute_triple_zero_reference():
+    est = [0.25, 0.5, -1.0, 0.0]
+    mixture = [0.5, 0.5, -0.5, 1.0]
+    silent = [0.0] * 4
+    triple = compute_triple(est, mixture, silent, 1e-8)
+    assert triple.sdr_db == pytest.approx(sdr_brute(est, silent, 1e-8), abs=1e-9)
+    assert triple.sdri_db == pytest.approx(sdri_brute(est, mixture, silent, 1e-8), abs=1e-9)
+    assert triple.si_sdr_db == pytest.approx(si_sdr_brute(est, silent, 1e-8), abs=1e-9)
+    with pytest.raises(ValueError, match="zero-energy"):
+        compute_triple(est, mixture, silent, 0.0)
+
+
 def test_sdr_is_not_scale_invariant_but_si_sdr_is():
     # dyadic values keep the projection arithmetic exact
     ref = np.array([1.0, 0.0, -0.5, 0.25])
