@@ -12,31 +12,31 @@ comparison reports.
 __version__ = "0.1.0"
 
 from .audio import MixResult, StftParams, Waveform, istft, mix, read_wav, stft, write_wav
-from .corpus import (ClipEntry, Manifest, SourceDataset, attach_augmentations,
-                     ingest_clotho, ingest_fsd50k, ingest_wavcaps, read_manifest,
-                     sample_training_pair, summarize, write_manifest)
+from .corpus import (ClipEntry, Manifest, SourceDataset, ingest_clotho, ingest_fsd50k,
+                     ingest_wavcaps, read_manifest, sample_training_pair, summarize,
+                     write_manifest)
 from .filtering import FilterReport, FilterRules, RejectReason, filter_captions, normalize, parse_numbered
 from .harness import (EvalItem, ExperimentConfig, make_synthetic_eval_set,
                       run_augmentation, run_evaluation)
-from .llm import LlmClient, LlmConfig, MockLlmClient, RawResponse, complete, mock_complete
+from .llm import LlmClient, LlmConfig, MockLlmClient, RawResponse, mock_complete
 from .metrics import MetricsTriple, aggregate, compute_triple, sdr, sdri, si_sdr
 from .prompts import PromptKind, PromptTemplate, builtin_template, render
 from .reporting import ReportRow, render_report
-from .separation import EnsembleWeights, SeparatorSpec, ensemble, separate
+from .separation import SeparatorSpec, ensemble, separate
 
 __all__ = [
     "__version__",
     "Waveform", "StftParams", "MixResult", "read_wav", "write_wav", "mix", "stft", "istft",
     "ClipEntry", "Manifest", "SourceDataset", "ingest_clotho", "ingest_fsd50k",
-    "ingest_wavcaps", "attach_augmentations", "summarize", "sample_training_pair",
+    "ingest_wavcaps", "summarize", "sample_training_pair",
     "read_manifest", "write_manifest",
     "FilterRules", "FilterReport", "RejectReason", "parse_numbered", "normalize",
     "filter_captions",
     "ExperimentConfig", "EvalItem", "run_augmentation", "run_evaluation",
     "make_synthetic_eval_set",
-    "LlmConfig", "LlmClient", "MockLlmClient", "RawResponse", "complete", "mock_complete",
+    "LlmConfig", "LlmClient", "MockLlmClient", "RawResponse", "mock_complete",
     "MetricsTriple", "sdr", "sdri", "si_sdr", "compute_triple", "aggregate",
     "PromptKind", "PromptTemplate", "builtin_template", "render",
     "ReportRow", "render_report",
-    "SeparatorSpec", "EnsembleWeights", "separate", "ensemble",
+    "SeparatorSpec", "separate", "ensemble",
 ]

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on partial failure (some clips failed but the run
-completed, a failure manifest is written), 2 on configuration errors.
+completed; ``augment`` also writes a failure manifest), 2 on configuration
+errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 from . import corpus
 from .audio import mix, read_wav, write_wav
 from .filtering import FilterRules, filter_captions, parse_numbered
-from .harness import ConfigError, ExperimentConfig, HarnessError, run_augmentation
+from .harness import (DEFAULT_EVAL_EPSILON, ClipScore, ConfigError, ExperimentConfig,
+                      HarnessError, run_augmentation, write_per_clip_csv)
 from .llm import LlmConfig
 from .metrics import compute_triple
 from .prompts import PromptKind, builtin_template
@@ -175,25 +177,26 @@ def cmd_eval(args) -> int:
     names = sorted(p.name for p in est_dir.glob("*.wav"))
     if not names:
         raise ConfigError(f"no WAV files in {est_dir}")
-    lines = ["clip_id,sdr,sdri,si_sdr"]
+    scores, failed = [], []
     for name in names:
         ref_path, mix_path = ref_dir / name, mix_dir / name
         if not ref_path.exists() or not mix_path.exists():
             raise ConfigError(f"missing reference or mixture for {name}")
-        triple = compute_triple(read_wav(est_dir / name), read_wav(mix_path),
-                                read_wav(ref_path), args.epsilon)
+        signals = [read_wav(path) for path in (est_dir / name, mix_path, ref_path)]
         clip_id = Path(name).stem
-        lines.append(f"{clip_id},{triple.sdr_db:.6f},{triple.sdri_db:.6f},"
-                     f"{triple.si_sdr_db:.6f}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"evaluated {len(names)} clips -> {args.out}")
-    return EXIT_OK
+        try:
+            scores.append(ClipScore(clip_id, compute_triple(*signals, args.epsilon)))
+        except ValueError as exc:
+            print(f"clip {clip_id} failed: {exc}", file=sys.stderr)
+            failed.append(clip_id)
+    write_per_clip_csv(Path(args.out), scores)
+    print(f"evaluated {len(scores)} of {len(names)} clips -> {args.out}")
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_ensemble(args) -> int:
     estimates = [read_wav(p) for p in args.inputs]
-    weights = args.weights if args.weights else None
-    combined = ensemble(estimates, weights)
+    combined = ensemble(estimates, args.weights)
     write_wav(args.out, combined)
     print(f"ensembled {len(estimates)} estimates -> {args.out}")
     return EXIT_OK
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True)
     p.add_argument("--mixtures", required=True)
     p.add_argument("--out", required=True, help="per-clip metrics CSV")
-    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EVAL_EPSILON)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ensemble", help="weighted sum of estimate WAVs")

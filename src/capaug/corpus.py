@@ -256,16 +256,6 @@ def merge_augmented_captions(entry: ClipEntry,
     return merged, skipped
 
 
-def attach_augmentations(manifest: Manifest, clip_id: str,
-                         accepted_captions: list[str]) -> tuple[Manifest, int]:
-    """Extend one clip's augmented captions; returns (new manifest, skip count)."""
-    target = manifest.get(clip_id)
-    merged, skipped = merge_augmented_captions(target, accepted_captions)
-    new_entries = [merged if entry.clip_id == clip_id else entry
-                   for entry in manifest.entries]
-    return Manifest(entries=new_entries, metadata=dict(manifest.metadata)), skipped
-
-
 @dataclass(frozen=True)
 class SummaryRow:
     source_dataset: str

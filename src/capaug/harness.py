@@ -26,8 +26,7 @@ from .llm import LlmClient, LlmConfig, LlmError, MockLlmClient
 from .metrics import DEFAULT_CLAMP_DB, MetricsTriple, aggregate, compute_triple
 from .prompts import PromptKind, builtin_template, render
 from .reporting import ReportRow, render_report
-from .separation import (KIND_ORACLE_IRM, ExternalSeparatorError, SeparatorSpec,
-                         ensemble, separate)
+from .separation import ExternalSeparatorError, SeparatorSpec, ensemble, separate
 
 logger = logging.getLogger(__name__)
 
@@ -414,16 +413,7 @@ class EvaluationResult:
         return rows
 
 
-def _score(name: str, result: SeparatorResult, clamp_db: float) -> None:
-    if result.per_clip:
-        result.per_clip.sort(key=lambda s: s.clip_id)
-        result.aggregate = aggregate([s.metrics for s in result.per_clip], clamp_db)
-    if result.failed:
-        logger.warning("separator %s failed on %d clips: %s",
-                       name, len(result.failed), sorted(result.failed))
-
-
-def _write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
+def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
     lines = ["clip_id,sdr,sdri,si_sdr"]
     for score in scores:
         t = score.metrics
@@ -435,78 +425,80 @@ def run_evaluation(config: ExperimentConfig,
                    eval_set: list[EvalItem]) -> EvaluationResult:
     """Evaluate every configured separator and ensemble on an eval set.
 
-    Per-clip estimates feeding an ensemble are kept (and written when an
-    output directory is configured) so ensemble rows are reproducible from
-    run artifacts. A separator or scoring failure on a clip (for example a
-    silent reference with ``epsilon=0``) excludes that clip from the
-    separator's aggregate and is reported, not fatal.
+    Each estimate is written as soon as it is scored when an output directory
+    is configured; only the estimates of ensemble members are kept in memory
+    until the ensembles run. A separator or scoring failure on a clip (for
+    example a silent reference with ``epsilon=0``) excludes that clip from
+    the separator's aggregate and is reported, not fatal.
     """
     if not config.separators:
         raise ConfigError("no separators configured")
     items = sorted(eval_set, key=lambda i: i.clip_id)
     out_dir = Path(config.out_dir) if config.out_dir else None
-    estimates: dict[str, dict[str, Waveform]] = {}
+    kept: dict[str, dict[str, Waveform]] = {
+        member: {} for definition in config.ensembles.values()
+        for member in definition.members}
     results: dict[str, SeparatorResult] = {}
 
-    for name, spec in config.separators:
+    def evaluate(name: str, estimate_of) -> None:
+        # separator-major (all clips of one separator, then the next): a
+        # clip-major order ran slower in-process
         result = SeparatorResult(name=name)
-        estimates[name] = {}
-        for item in items:
-            oracle_sources = None
-            if spec.kind == KIND_ORACLE_IRM:
-                if item.interference is None:
-                    result.failed.append(item.clip_id)
-                    continue
-                oracle_sources = (item.reference, item.interference)
+        est_dir = None
+        if out_dir is not None:
+            est_dir = out_dir / "estimates" / name
+            est_dir.mkdir(parents=True, exist_ok=True)
+
+        # a function, not a loop body, so that an estimate nothing keeps is
+        # freed before the next one is made
+        def step(item: EvalItem) -> None:
             try:
-                estimate = separate(spec, item.mixture, item.caption, oracle_sources)
+                estimate = estimate_of(item)
                 triple = compute_triple(estimate, item.mixture, item.reference,
                                         config.epsilon)
             except (ExternalSeparatorError, ValueError) as exc:
-                logger.warning("separator %s failed on clip %s: %s",
-                               name, item.clip_id, exc)
+                logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
                 result.failed.append(item.clip_id)
-                continue
-            estimates[name][item.clip_id] = estimate
+                return
+            if name in kept:
+                kept[name][item.clip_id] = estimate
+            if est_dir is not None:
+                write_wav(est_dir / f"{item.clip_id}.wav", estimate)
             result.per_clip.append(ClipScore(item.clip_id, triple))
-        _score(name, result, config.clamp_db)
+
+        for item in items:
+            step(item)
+        if result.per_clip:
+            result.aggregate = aggregate([s.metrics for s in result.per_clip],
+                                         config.clamp_db)
+        if result.failed:
+            logger.warning("%s failed on %d clips: %s", name, len(result.failed),
+                           result.failed)
         results[name] = result
 
+    for name, spec in config.separators:
+        # oracle_irm needs the stems; separate() rejects it when they are missing
+        def run_separator(item: EvalItem) -> Waveform:
+            sources = None if item.interference is None else (item.reference,
+                                                              item.interference)
+            return separate(spec, item.mixture, item.caption, sources)
+        evaluate(name, run_separator)
+
     for ens_name, definition in config.ensembles.items():
-        result = SeparatorResult(name=ens_name)
-        estimates[ens_name] = {}
-        weights = definition.weights or tuple(1.0 for _ in definition.members)
-        for item in items:
-            members = [estimates[m].get(item.clip_id) for m in definition.members]
-            if any(m is None for m in members):
-                result.failed.append(item.clip_id)
-                continue
-            try:
-                combined = ensemble(members, list(weights))
-                triple = compute_triple(combined, item.mixture, item.reference,
-                                        config.epsilon)
-            except ValueError as exc:
-                logger.warning("ensemble %s failed on clip %s: %s",
-                               ens_name, item.clip_id, exc)
-                result.failed.append(item.clip_id)
-                continue
-            estimates[ens_name][item.clip_id] = combined
-            result.per_clip.append(ClipScore(item.clip_id, triple))
-        _score(ens_name, result, config.clamp_db)
-        results[ens_name] = result
+        def combine(item: EvalItem) -> Waveform:
+            missing = [m for m in definition.members if item.clip_id not in kept[m]]
+            if missing:
+                raise ValueError(f"no estimate from members {missing}")
+            return ensemble([kept[m][item.clip_id] for m in definition.members],
+                            definition.weights)
+        evaluate(ens_name, combine)
 
     evaluation = EvaluationResult(separators=results, config_hash=config.hash())
-
     if out_dir is not None:
-        for name, per_clip_estimates in estimates.items():
-            est_dir = out_dir / "estimates" / name
-            est_dir.mkdir(parents=True, exist_ok=True)
-            for clip_id in sorted(per_clip_estimates):
-                write_wav(est_dir / f"{clip_id}.wav", per_clip_estimates[clip_id])
         metrics_dir = out_dir / "metrics"
         metrics_dir.mkdir(parents=True, exist_ok=True)
         for name, result in results.items():
-            _write_per_clip_csv(metrics_dir / f"{name}.csv", result.per_clip)
+            write_per_clip_csv(metrics_dir / f"{name}.csv", result.per_clip)
         rows = evaluation.report_rows()
         if rows:
             report = render_report(rows, config_hash=evaluation.config_hash)

@@ -187,11 +187,6 @@ class LlmClient:
                            latency_s=latency, attempt=attempt)
 
 
-def complete(prompt: str, config: LlmConfig) -> RawResponse:
-    """One-shot completion without keeping a client around."""
-    return LlmClient(config).complete(prompt)
-
-
 _SUBJECTS = [
     "A dog", "The television", "A car engine", "Rain", "A crowd", "Someone",
     "An alarm", "The wind", "A bird", "Water", "A train", "Thunder",

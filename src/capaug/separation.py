@@ -86,24 +86,6 @@ class SeparatorSpec:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class EnsembleWeights:
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not self.weights:
-            raise ValueError("weights must be non-empty")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        if sum(self.weights) <= 0:
-            raise ValueError("at least one weight must be positive")
-
-    def normalized(self) -> tuple[float, ...]:
-        total = sum(self.weights)
-        return tuple(w / total for w in self.weights)
-
-
 def _oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,
                 params: StftParams) -> Waveform:
     mask = irm_mask(target, interference, params)
@@ -178,21 +160,24 @@ def separate(spec: SeparatorSpec, mixture: Waveform, caption: str,
 
 
 def ensemble(estimates: list[Waveform],
-             weights: EnsembleWeights | list[float] | None = None) -> Waveform:
-    """Weighted sum of estimates with weights normalized to sum to one."""
+             weights: list[float] | tuple[float, ...] | None = None) -> Waveform:
+    """Weighted sum of estimates with weights normalized to sum to one
+    (equal weights when none are given)."""
     if not estimates:
         raise ValueError("need at least one estimate")
-    if weights is None:
-        weights = EnsembleWeights((1.0,) * len(estimates))
-    elif not isinstance(weights, EnsembleWeights):
-        weights = EnsembleWeights(tuple(weights))
-    if len(weights.weights) != len(estimates):
+    weights = [1.0] * len(estimates) if weights is None else [float(w) for w in weights]
+    if len(weights) != len(estimates):
         raise ValueError("one weight per estimate is required")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("at least one weight must be positive")
     rates = {e.sample_rate for e in estimates}
     lengths = {len(e) for e in estimates}
     if len(rates) != 1 or len(lengths) != 1:
         raise ValueError("estimates must share length and sample rate")
     out = np.zeros(lengths.pop())
-    for w, est in zip(weights.normalized(), estimates):
-        out += w * est.samples
+    for w, est in zip(weights, estimates):
+        out += (w / total) * est.samples
     return Waveform(out, rates.pop())

@@ -220,6 +220,26 @@ class TestSignalCommands:
             clip_id, sdr_v, sdri_v, si_v = line.split(",")
             assert abs(float(sdri_v)) <= 1e-7  # identity estimates
 
+    def test_eval_silent_reference_with_zero_epsilon_fails_only_that_clip(self, tmp_path,
+                                                                           capsys):
+        est_dir, ref_dir, mix_dir = (tmp_path / "est", tmp_path / "ref", tmp_path / "mix")
+        for d in (est_dir, ref_dir, mix_dir):
+            d.mkdir()
+        for item in make_synthetic_eval_set(3, seed=0, duration_s=0.25):
+            reference = item.reference
+            if item.clip_id == "clip_001":
+                reference = Waveform(np.zeros(len(reference)), reference.sample_rate)
+            write_wav(ref_dir / f"{item.clip_id}.wav", reference)
+            write_wav(mix_dir / f"{item.clip_id}.wav", item.mixture)
+            write_wav(est_dir / f"{item.clip_id}.wav", item.mixture)
+        out = tmp_path / "metrics.csv"
+        assert run_cli("eval", "--estimates", est_dir, "--references", ref_dir,
+                       "--mixtures", mix_dir, "--out", out, "--epsilon", 0) == 1
+        lines = out.read_text().splitlines()
+        assert lines[0] == "clip_id,sdr,sdri,si_sdr"
+        assert [line.split(",")[0] for line in lines[1:]] == ["clip_000", "clip_002"]
+        assert "clip_001" in capsys.readouterr().err
+
     def test_eval_missing_reference_is_error(self, tmp_path):
         est_dir, ref_dir, mix_dir = (tmp_path / "est", tmp_path / "ref", tmp_path / "mix")
         for d in (est_dir, ref_dir, mix_dir):

@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import chisquare
 
 from capaug.corpus import (ClipEntry, FreeSoundExcludedError, Manifest, SourceDataset,
-                           attach_augmentations, ingest_clotho, ingest_fsd50k,
-                           ingest_wavcaps, new_manifest, read_manifest,
+                           ingest_clotho, ingest_fsd50k, ingest_wavcaps,
+                           merge_augmented_captions, new_manifest, read_manifest,
                            sample_training_pair, summarize, write_manifest)
 
 
@@ -136,41 +136,37 @@ class TestEntryAndManifestInvariants:
 
 class TestAttach:
     def test_attach_fresh_captions(self):
-        manifest = new_manifest([_entry("c1")], created_at="2025-01-01T00:00:00Z")
-        updated, skipped = attach_augmentations(
-            manifest, "c1", ["one new sound", "two new sounds",
-                             "three new sounds", "four new sounds"])
+        entry = _entry("c1")
+        merged, skipped = merge_augmented_captions(
+            entry, ["one new sound", "two new sounds", "three new sounds", "four new sounds"])
         assert skipped == 0
-        assert len(updated.get("c1").augmented_captions) == 4
-        # original manifest untouched
-        assert manifest.get("c1").augmented_captions == []
+        assert len(merged.augmented_captions) == 4
+        # original entry untouched
+        assert entry.augmented_captions == []
 
     def test_attach_skips_normalize_duplicates_of_originals(self):
-        manifest = new_manifest([_entry("c1", captions=("A dog barks loudly",))])
-        updated, skipped = attach_augmentations(
-            manifest, "c1", ["a dog barks loudly!", "a cat meows softly"])
+        merged, skipped = merge_augmented_captions(
+            _entry("c1", captions=("A dog barks loudly",)),
+            ["a dog barks loudly!", "a cat meows softly"])
         assert skipped == 1
-        assert updated.get("c1").augmented_captions == ["a cat meows softly"]
+        assert merged.augmented_captions == ["a cat meows softly"]
 
     def test_attach_skips_duplicates_of_existing_augmentations(self):
-        manifest = new_manifest([_entry("c1")])
-        manifest, _ = attach_augmentations(manifest, "c1", ["new caption here"])
-        updated, skipped = attach_augmentations(manifest, "c1",
-                                                ["New caption here.", "another caption here"])
+        entry, _ = merge_augmented_captions(_entry("c1"), ["new caption here"])
+        merged, skipped = merge_augmented_captions(
+            entry, ["New caption here.", "another caption here"])
         assert skipped == 1
-        assert updated.get("c1").augmented_captions == \
-            ["new caption here", "another caption here"]
+        assert merged.augmented_captions == ["new caption here", "another caption here"]
 
     def test_attach_unknown_clip(self):
         manifest = new_manifest([_entry("c1")])
         with pytest.raises(KeyError):
-            attach_augmentations(manifest, "nope", ["x y z"])
+            manifest.get("nope")
 
     def test_counts_never_decrease(self):
-        manifest = new_manifest([_entry("c1")])
-        before = len(manifest.get("c1").augmented_captions)
-        updated, _ = attach_augmentations(manifest, "c1", [])
-        assert len(updated.get("c1").augmented_captions) >= before
+        entry = _entry("c1")
+        merged, _ = merge_augmented_captions(entry, [])
+        assert len(merged.augmented_captions) >= len(entry.augmented_captions)
 
 
 class TestSummarize:
@@ -183,15 +179,16 @@ class TestSummarize:
 
     def test_synthetic_manifest_with_augmentations(self, synthetic_manifest):
         # attach 23 augmentations across the 10 clips
-        manifest = synthetic_manifest
         per_clip = [3, 2, 3, 2, 3, 2, 3, 2, 2, 1]
         assert sum(per_clip) == 23
-        for entry, count in zip(sorted(manifest.entries, key=lambda e: e.clip_id),
+        entries = []
+        for entry, count in zip(sorted(synthetic_manifest.entries, key=lambda e: e.clip_id),
                                 per_clip):
             fresh = [f"generated caption {i} for {entry.clip_id}" for i in range(count)]
-            manifest, skipped = attach_augmentations(manifest, entry.clip_id, fresh)
+            merged, skipped = merge_augmented_captions(entry, fresh)
             assert skipped == 0
-        rows = summarize(manifest)
+            entries.append(merged)
+        rows = summarize(Manifest(entries=entries, metadata=synthetic_manifest.metadata))
         synth = [r for r in rows if r.source_dataset == "Synthetic"][0]
         total = rows[-1]
         assert synth.num_clips == 10
@@ -290,8 +287,9 @@ class TestSampleTrainingPair:
         assert result.pvalue > 1e-3
 
     def test_augmented_included_only_on_request(self):
-        manifest = new_manifest([_entry("c", captions=("orig caption text",))])
-        manifest, _ = attach_augmentations(manifest, "c", ["aug caption text"])
+        entry, _ = merge_augmented_captions(_entry("c", captions=("orig caption text",)),
+                                            ["aug caption text"])
+        manifest = new_manifest([entry])
         rng = random.Random(0)
         seen = {sample_training_pair(manifest, include_augmented=True, rng=rng)[1]
                 for _ in range(200)}

@@ -2,18 +2,20 @@ import json
 import math
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capaug.audio import Waveform
+import capaug.harness as harness
+from capaug.audio import Waveform, read_wav
 from capaug.corpus import new_manifest, read_manifest
 from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig,
                             HarnessError, make_synthetic_eval_set, run_augmentation,
                             run_evaluation)
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
-from capaug.separation import SeparatorSpec
+from capaug.separation import SeparatorSpec, ensemble
 
 
 def _mock_config(tmp_path=None, **kwargs):
@@ -384,6 +386,52 @@ class TestRunEvaluation:
             assert sep_result.aggregate is not None
         assert not (tmp_path / "eval" / "estimates" / "identity" / "clip_001.wav").exists()
         assert (tmp_path / "eval" / "report.md").exists()
+
+    def test_only_ensemble_members_stay_in_memory(self, tmp_path, monkeypatch):
+        # "oracle" is in no ensemble, so its estimate can go once it is written
+        alive_max = 0
+        oracle_estimates = []
+        real_separate = harness.separate
+
+        def recording_separate(spec, *args):
+            nonlocal alive_max
+            estimate = real_separate(spec, *args)
+            if spec.kind == "oracle_irm":
+                oracle_estimates.append(weakref.ref(estimate))
+                alive_max = max(alive_max,
+                                sum(ref() is not None for ref in oracle_estimates))
+            return estimate
+
+        monkeypatch.setattr(harness, "separate", recording_separate)
+        items = make_synthetic_eval_set(4, seed=7, duration_s=0.25)
+        result = run_evaluation(_eval_config(
+            tmp_path, ensembles={"solo": EnsembleDef(members=("identity",))}), items)
+        assert len(oracle_estimates) == 4
+        assert alive_max == 1
+        assert len(result.separators["oracle"].per_clip) == 4
+
+    def test_ensemble_wav_is_ensemble_of_member_wavs(self, tmp_path):
+        items = make_synthetic_eval_set(3, seed=8, duration_s=0.25)
+        items[1].interference = None  # the oracle member fails on clip_001
+        run_evaluation(_eval_config(tmp_path, ensembles={
+            "pair": EnsembleDef(members=("identity", "oracle"), weights=(0.4, 0.6))}), items)
+        estimates = tmp_path / "eval" / "estimates"
+        assert not (estimates / "pair" / "clip_001.wav").exists()
+        for clip_id in ("clip_000", "clip_002"):
+            members = [read_wav(estimates / m / f"{clip_id}.wav") for m in ("identity", "oracle")]
+            expected = ensemble(members, (0.4, 0.6))
+            written = read_wav(estimates / "pair" / f"{clip_id}.wav")
+            assert np.allclose(written.samples, expected.samples, rtol=0.0, atol=1e-7)
+
+    def test_estimate_dir_exists_for_separator_failing_every_clip(self, tmp_path):
+        items = make_synthetic_eval_set(2, seed=9, duration_s=0.25)
+        for item in items:
+            item.interference = None
+        result = run_evaluation(_eval_config(tmp_path), items)
+        assert result.separators["oracle"].failed == ["clip_000", "clip_001"]
+        oracle_dir = tmp_path / "eval" / "estimates" / "oracle"
+        assert oracle_dir.is_dir()
+        assert list(oracle_dir.iterdir()) == []
 
     def test_no_separators_rejected(self):
         with pytest.raises(ConfigError):

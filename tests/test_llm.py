@@ -8,8 +8,7 @@ import pytest
 
 import capaug.llm as llm
 from capaug.llm import (EmptyCompletionError, LlmClient, LlmConfig, LlmNetworkError,
-                        LlmProtocolError, LlmTimeoutError, MockLlmClient, complete,
-                        mock_complete)
+                        LlmProtocolError, LlmTimeoutError, MockLlmClient, mock_complete)
 
 ENUM_MARKERS = {chr(0x2460 + i) for i in range(20)}
 
@@ -244,10 +243,6 @@ class TestHttpClient:
             list(pool.map(lambda _: client.complete("p"), range(12)))
         assert server.request_count == 12
         assert server.max_in_flight <= 2
-
-    def test_one_shot_helper(self, stub_server):
-        server, url = stub_server([{"text": "once"}])
-        assert complete("p", LlmConfig(endpoint_url=url)).text == "once"
 
     def test_client_requires_endpoint(self):
         with pytest.raises(ValueError):

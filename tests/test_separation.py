@@ -7,8 +7,8 @@ import pytest
 
 from capaug.audio import StftParams, Waveform, mix, read_wav, tone_burst, white_noise, write_wav
 from capaug.metrics import sdr
-from capaug.separation import (EnsembleWeights, ExternalSeparatorError, SeparatorSpec,
-                               ensemble, irm_mask, separate)
+from capaug.separation import (ExternalSeparatorError, SeparatorSpec, ensemble, irm_mask,
+                               separate)
 
 # first run of the seeded tone+noise fixture below observed 21.3 dB oracle SDR
 # (identity: 0 dB); asserted with headroom so numeric drift cannot flake it
@@ -250,8 +250,7 @@ class TestEnsemble:
             ensemble([a, Waveform(np.array([1.0, 0.0]), 8000)], [0.5, 0.5])
         with pytest.raises(ValueError):
             ensemble([a], [0.5, 0.5])
-
-    def test_weights_type(self):
         with pytest.raises(ValueError):
-            EnsembleWeights(())
-        assert EnsembleWeights((2.0, 2.0)).normalized() == (0.5, 0.5)
+            ensemble([a], [])
+        with pytest.raises(ValueError, match="non-negative"):
+            ensemble([a, a], [-1.0, 2.0])
