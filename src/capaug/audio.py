@@ -147,7 +147,9 @@ def stft(waveform: Waveform, params: StftParams | None = None) -> np.ndarray:
 
     The signal is zero-padded by one window on each side so that every
     original sample sits in the constant-overlap region of the Hann window;
-    :func:`istft` undoes the padding.
+    :func:`istft` undoes the padding. The result is a transposed view of the
+    frame-major spectrum, so it is not C-contiguous; :func:`istft` transposes
+    it back without a copy.
     """
     params = params or StftParams()
     w, h = params.window_size, params.hop
@@ -164,7 +166,25 @@ def stft(waveform: Waveform, params: StftParams | None = None) -> np.ndarray:
     window = _periodic_hann(w)
     n_frames = (total - w) // h + 1
     frames = np.lib.stride_tricks.sliding_window_view(padded, w)[::h][:n_frames]
-    return np.fft.rfft(frames * window, axis=1).T.copy()
+    return np.fft.rfft(frames * window, axis=1).T
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frames placed ``hop`` apart: (n_frames, w) -> (w + (n_frames-1)*hop,).
+
+    Column k*hop + r of frame m is sample (m+k)*hop + r, which is row m+k of a
+    (rows, hop) view of the output, so one slice-add per chunk k places every
+    frame's chunk k at once. Chunks go in descending k, so each sample gets its
+    frames in ascending frame order: the same additions in the same order as a
+    per-frame loop, hence the same bits.
+    """
+    n_frames, w = frames.shape
+    n_chunks = -(-w // hop)
+    out = np.zeros((n_frames + n_chunks - 1, hop))
+    for k in reversed(range(n_chunks)):
+        width = min(hop, w - k * hop)
+        out[k:k + n_frames, :width] += frames[:, k * hop:k * hop + width]
+    return out.reshape(-1)[:w + (n_frames - 1) * hop]
 
 
 def istft(matrix: np.ndarray, params: StftParams | None = None,
@@ -175,22 +195,14 @@ def istft(matrix: np.ndarray, params: StftParams | None = None,
     if matrix.shape[0] != w // 2 + 1:
         raise ValueError("matrix bin count does not match window_size")
     window = _periodic_hann(w)
-    frames = np.fft.irfft(matrix.T, n=w, axis=1) * window
+    frames = np.fft.irfft(matrix.T, n=w, axis=1)
+    frames *= window
 
-    n_frames = frames.shape[0]
-    total = w + (n_frames - 1) * h
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    wsq = window ** 2
-    for m in range(n_frames):
-        start = m * h
-        out[start:start + w] += frames[m]
-        norm[start:start + w] += wsq
-    out = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), 0.0)
-
-    payload = out[w:]
+    out = _overlap_add(frames, h)[w:]
+    norm = _overlap_add(np.broadcast_to(window ** 2, frames.shape), h)[w:]
     if length is not None:
-        payload = payload[:length]
+        out, norm = out[:length], norm[:length]
+    payload = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), 0.0)
     return Waveform(payload, sample_rate)
 
 

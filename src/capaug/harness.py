@@ -26,7 +26,8 @@ from .llm import LlmClient, LlmConfig, LlmError, MockLlmClient
 from .metrics import DEFAULT_CLAMP_DB, MetricsTriple, aggregate, compute_triple
 from .prompts import PromptKind, builtin_template, render
 from .reporting import ReportRow, render_report
-from .separation import ExternalSeparatorError, SeparatorSpec, ensemble, separate
+from .separation import (EXTERNAL_PROCESS_BOUND, KIND_EXTERNAL, ExternalSeparatorError,
+                         SeparatorSpec, ensemble, separate)
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +80,9 @@ class ExperimentConfig:
         names = [name for name, _ in self.separators]
         if len(names) != len(set(names)):
             raise ConfigError("separator names must be unique")
+        clashes = sorted(set(names) & set(self.ensembles))
+        if clashes:
+            raise ConfigError(f"ensemble names {clashes} are also separator names")
         for ens_name, definition in self.ensembles.items():
             unknown = [m for m in definition.members if m not in names]
             if unknown:
@@ -440,7 +444,7 @@ def run_evaluation(config: ExperimentConfig,
         for member in definition.members}
     results: dict[str, SeparatorResult] = {}
 
-    def evaluate(name: str, estimate_of) -> None:
+    def evaluate(name: str, estimate_of, processes: int = 0) -> None:
         # separator-major (all clips of one separator, then the next): a
         # clip-major order ran slower in-process
         result = SeparatorResult(name=name)
@@ -451,23 +455,33 @@ def run_evaluation(config: ExperimentConfig,
 
         # a function, not a loop body, so that an estimate nothing keeps is
         # freed before the next one is made
-        def step(item: EvalItem) -> None:
+        def step(item: EvalItem) -> tuple[MetricsTriple | None, Waveform | None]:
             try:
                 estimate = estimate_of(item)
                 triple = compute_triple(estimate, item.mixture, item.reference,
                                         config.epsilon)
             except (ExternalSeparatorError, ValueError) as exc:
                 logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
-                result.failed.append(item.clip_id)
-                return
-            if name in kept:
-                kept[name][item.clip_id] = estimate
+                return None, None
             if est_dir is not None:
                 write_wav(est_dir / f"{item.clip_id}.wav", estimate)
-            result.per_clip.append(ClipScore(item.clip_id, triple))
+            return triple, estimate if name in kept else None
 
-        for item in items:
-            step(item)
+        # external commands wait on their processes, so up to `processes` clips
+        # run at once; in-process work is CPU-bound under the GIL and stays
+        # on the calling thread
+        if processes:
+            with ThreadPoolExecutor(max_workers=processes) as pool:
+                outcomes = list(pool.map(step, items))
+        else:
+            outcomes = list(map(step, items))
+        for item, (triple, estimate) in zip(items, outcomes):
+            if triple is None:
+                result.failed.append(item.clip_id)
+                continue
+            if estimate is not None:
+                kept[name][item.clip_id] = estimate
+            result.per_clip.append(ClipScore(item.clip_id, triple))
         if result.per_clip:
             result.aggregate = aggregate([s.metrics for s in result.per_clip],
                                          config.clamp_db)
@@ -482,7 +496,8 @@ def run_evaluation(config: ExperimentConfig,
             sources = None if item.interference is None else (item.reference,
                                                               item.interference)
             return separate(spec, item.mixture, item.caption, sources)
-        evaluate(name, run_separator)
+        evaluate(name, run_separator,
+                 EXTERNAL_PROCESS_BOUND if spec.kind == KIND_EXTERNAL else 0)
 
     for ens_name, definition in config.ensembles.items():
         def combine(item: EvalItem) -> Waveform:

@@ -59,10 +59,11 @@ def _check_aligned(*signals: Signal) -> list[np.ndarray]:
     return arrays
 
 
-def sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
-    """Energy-ratio signal-to-distortion ratio in dB."""
-    est, ref = _check_aligned(estimate, reference)
-    ref_energy = float(np.sum(ref ** 2))
+def _energy(signal: np.ndarray) -> float:
+    return float(np.sum(signal ** 2))
+
+
+def _sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float) -> float:
     err_energy = float(np.sum((ref - est) ** 2))
     if epsilon == 0.0:
         if ref_energy == 0.0:
@@ -72,11 +73,37 @@ def sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
     return 10.0 * math.log10((ref_energy + epsilon) / (err_energy + epsilon))
 
 
+def _si_sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float) -> float:
+    if ref_energy == 0.0:
+        if epsilon == 0.0:
+            raise ValueError("zero-energy reference with epsilon=0")
+        return 10.0 * math.log10(epsilon / (_energy(est) + epsilon))
+    # einsum, not np.dot: np.dot goes to BLAS, whose worker thread keeps
+    # spinning on a second core after each call returns
+    alpha = float(np.einsum("i,i->", est, ref)) / ref_energy
+    projection = alpha * ref
+    target_energy = float(np.sum(projection ** 2))
+    err_energy = float(np.sum((est - projection) ** 2))
+    if epsilon == 0.0:
+        if target_energy == 0.0:
+            return -math.inf
+        if err_energy == 0.0:
+            return math.inf
+    return 10.0 * math.log10((target_energy + epsilon) / (err_energy + epsilon))
+
+
+def sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
+    """Energy-ratio signal-to-distortion ratio in dB."""
+    est, ref = _check_aligned(estimate, reference)
+    return _sdr(est, ref, _energy(ref), epsilon)
+
+
 def sdri(estimate: Signal, mixture: Signal, reference: Signal,
          epsilon: float = 0.0) -> float:
     """SDR improvement of the estimate over the unprocessed mixture."""
-    _check_aligned(estimate, mixture, reference)
-    return sdr(estimate, reference, epsilon) - sdr(mixture, reference, epsilon)
+    est, mix, ref = _check_aligned(estimate, mixture, reference)
+    ref_energy = _energy(ref)
+    return _sdr(est, ref, ref_energy, epsilon) - _sdr(mix, ref, ref_energy, epsilon)
 
 
 def si_sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
@@ -89,29 +116,19 @@ def si_sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
     projection is zero, so the whole estimate counts as error.
     """
     est, ref = _check_aligned(estimate, reference)
-    ref_energy = float(np.sum(ref ** 2))
-    if ref_energy == 0.0:
-        if epsilon == 0.0:
-            raise ValueError("zero-energy reference with epsilon=0")
-        return 10.0 * math.log10(epsilon / (float(np.sum(est ** 2)) + epsilon))
-    alpha = float(np.dot(est, ref)) / ref_energy
-    projection = alpha * ref
-    target_energy = float(np.sum(projection ** 2))
-    err_energy = float(np.sum((est - projection) ** 2))
-    if epsilon == 0.0:
-        if target_energy == 0.0:
-            return -math.inf
-        if err_energy == 0.0:
-            return math.inf
-    return 10.0 * math.log10((target_energy + epsilon) / (err_energy + epsilon))
+    return _si_sdr(est, ref, _energy(ref), epsilon)
 
 
 def compute_triple(estimate: Signal, mixture: Signal, reference: Signal,
                    epsilon: float = 0.0) -> MetricsTriple:
+    """SDR, SDRi and SI-SDR of one estimate, equal to the three separate calls."""
+    est, mix, ref = _check_aligned(estimate, mixture, reference)
+    ref_energy = _energy(ref)
+    sdr_db = _sdr(est, ref, ref_energy, epsilon)
     return MetricsTriple(
-        sdr_db=sdr(estimate, reference, epsilon),
-        sdri_db=sdri(estimate, mixture, reference, epsilon),
-        si_sdr_db=si_sdr(estimate, reference, epsilon),
+        sdr_db=sdr_db,
+        sdri_db=sdr_db - _sdr(mix, ref, ref_energy, epsilon),
+        si_sdr_db=_si_sdr(est, ref, ref_energy, epsilon),
     )
 
 

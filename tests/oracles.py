@@ -2,11 +2,15 @@
 
 Everything here is written as a direct, loop-based transcription of the metric
 definitions, on purpose without numpy, so agreement with the vectorized
-library code is a meaningful cross-check rather than a tautology.
+library code is a meaningful cross-check rather than a tautology. The one
+exception is ``istft_brute``, which borrows numpy's inverse FFT and loops over
+the frames itself.
 """
 
 import math
 import unicodedata
+
+import numpy as np
 
 
 def sdr_brute(estimate, reference, eps=0.0):
@@ -82,3 +86,26 @@ def normalize_brute(caption):
     lowered = caption.lower()
     no_punct = "".join(ch for ch in lowered if not unicodedata.category(ch).startswith("P"))
     return " ".join(no_punct.split())
+
+
+def istft_brute(matrix, window_size, hop, length=None):
+    """Inverse STFT with the overlap-add written as a per-frame loop.
+
+    The inverse FFT itself is numpy's, as in the library: this checks the
+    overlap-add and the synthesis-window normalization, sample for sample,
+    in the order a direct transcription adds them.
+    """
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+    frames = np.fft.irfft(np.asarray(matrix).T, n=window_size, axis=1) * window
+    n_frames = frames.shape[0]
+    total = window_size + (n_frames - 1) * hop
+    out = np.zeros(total)
+    norm = np.zeros(total)
+    wsq = window ** 2
+    for m in range(n_frames):
+        start = m * hop
+        out[start:start + window_size] += frames[m]
+        norm[start:start + window_size] += wsq
+    out = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), 0.0)
+    payload = out[window_size:]
+    return payload if length is None else payload[:length]

@@ -2,11 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from capaug.audio import (StftParams, Waveform, WavFormatError, istft, mix, read_wav,
                           stft, tone_burst, white_noise, write_wav)
-from oracles import mix_gain_brute
+from oracles import istft_brute, mix_gain_brute
+
+# (window, hop) pairs: hops dividing the window, hops equal to it, and a hop
+# that does not divide it
+ISTFT_GRID = [(1024, 256), (512, 128), (1024, 512), (256, 256), (1024, 1024),
+              (512, 100), (64, 16)]
+
+
+def _masked_spectrum(x, params, seed):
+    """An STFT scaled by a random mask in [0, 1], as oracle_irm makes."""
+    matrix = stft(x, params)
+    return matrix * np.random.default_rng(seed).uniform(0.0, 1.0, matrix.shape)
 
 
 def _rand_wave(n, seed, rate=16000):
@@ -205,6 +218,34 @@ class TestStft:
     def test_deterministic(self):
         x = _rand_wave(4096, 9)
         assert np.array_equal(stft(x), stft(x))
+
+    @pytest.mark.parametrize("window, hop", ISTFT_GRID)
+    def test_istft_is_bit_identical_to_frame_loop(self, window, hop):
+        params = StftParams(window_size=window, hop=hop)
+        for seed, n in enumerate((window, window + 1, 3 * window + 7, 16000)):
+            x = _rand_wave(n, seed)
+            for matrix in (stft(x, params), _masked_spectrum(x, params, seed)):
+                y = istft(matrix, params, length=n, sample_rate=x.sample_rate)
+                assert np.array_equal(y.samples, istft_brute(matrix, window, hop, n))
+            untrimmed = istft(stft(x, params), params)
+            assert np.array_equal(untrimmed.samples,
+                                  istft_brute(stft(x, params), window, hop))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.sampled_from(ISTFT_GRID), extra=st.integers(0, 5000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_istft_matches_frame_loop_for_any_length(self, grid, extra, seed):
+        window, hop = grid
+        params = StftParams(window_size=window, hop=hop)
+        x = _rand_wave(window + extra, seed)
+        matrix = _masked_spectrum(x, params, seed)
+        y = istft(matrix, params, length=len(x), sample_rate=x.sample_rate)
+        assert np.array_equal(y.samples, istft_brute(matrix, window, hop, len(x)))
+
+    def test_stft_is_a_transposed_view(self):
+        matrix = stft(_rand_wave(4096, 2))
+        assert not matrix.flags.c_contiguous
+        assert matrix.T.flags.c_contiguous
 
 
 class TestGenerators:

@@ -15,6 +15,7 @@ from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig
                             HarnessError, make_synthetic_eval_set, run_augmentation,
                             run_evaluation)
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
+from capaug import separation
 from capaug.separation import SeparatorSpec, ensemble
 
 
@@ -63,6 +64,13 @@ class TestConfig:
             ExperimentConfig(separators=[("a", SeparatorSpec(kind="identity"))],
                              ensembles={"e": EnsembleDef(members=("a",),
                                                          weights=(0.5, 0.5))})
+
+    def test_ensemble_named_like_a_separator_rejected(self):
+        # it would replace that separator's result, CSV and estimates
+        with pytest.raises(ConfigError, match="also separator names"):
+            ExperimentConfig(separators=[("a", SeparatorSpec(kind="identity")),
+                                         ("b", SeparatorSpec(kind="identity"))],
+                             ensembles={"a": EnsembleDef(members=("a", "b"))})
 
     def test_unknown_prompt_kind_rejected(self):
         with pytest.raises(ConfigError, match="prompt kind"):
@@ -432,6 +440,50 @@ class TestRunEvaluation:
         oracle_dir = tmp_path / "eval" / "estimates" / "oracle"
         assert oracle_dir.is_dir()
         assert list(oracle_dir.iterdir()) == []
+
+    def test_external_clips_run_on_bounded_pool_in_clip_order(self, tmp_path):
+        # each process writes its start and end time; captions pick the sleep
+        # (slow clips first, so completion order differs from clip order) or
+        # a failure
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        script = tmp_path / "sep.sh"
+        script.write_text(
+            'id=$(basename "$(dirname "$1")")\n'
+            f'date +%s.%N > "{marks}/$id.start"\n'
+            'case "$2" in *slow*) sleep 0.6;; *fail*) sleep 0.2; exit 3;; *) sleep 0.2;; esac\n'
+            'cp "$1" "$3"\n'
+            f'date +%s.%N > "{marks}/$id.end"\n')
+        items = make_synthetic_eval_set(7, seed=10, duration_s=0.25)
+        for item, caption in zip(items, ["slow", "slow", "quick", "fail", "quick",
+                                         "slow", "quick"]):
+            item.caption = caption
+        spec = SeparatorSpec(kind="external",
+                             command_template=f"sh {script} {{MIXTURE}} {{CAPTION}} {{OUT}}")
+        result = run_evaluation(_eval_config(
+            tmp_path, separators=[("ext", spec), ("identity", SeparatorSpec(kind="identity"))]),
+            items)
+
+        ext = result.separators["ext"]
+        assert ext.failed == ["clip_003"]
+        scored = ["clip_000", "clip_001", "clip_002", "clip_004", "clip_005", "clip_006"]
+        assert [s.clip_id for s in ext.per_clip] == scored
+        csv_rows = (tmp_path / "eval" / "metrics" / "ext.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in csv_rows[1:]] == scored
+        # each score belongs to its own clip: the external identity matches
+        # the in-process one up to the float32 round trip through the WAV
+        identity = {s.clip_id: s.metrics.si_sdr_db
+                    for s in result.separators["identity"].per_clip}
+        assert [s.metrics.si_sdr_db for s in ext.per_clip] == pytest.approx(
+            [identity[c] for c in scored], abs=1e-6)
+
+        starts = sorted(float(p.read_text()) for p in marks.glob("*.start"))
+        intervals = [(float(p.read_text()), float(p.with_suffix(".end").read_text()))
+                     for p in marks.glob("*.start") if p.with_suffix(".end").exists()]
+        assert len(starts) == 7 and len(intervals) == 6
+        running_at = [sum(s <= t < e for s, e in intervals) for t in starts]
+        assert max(running_at) == separation.EXTERNAL_PROCESS_BOUND == 2
+        assert sum(e - s for s, e in intervals) > max(e for _, e in intervals) - starts[0]
 
     def test_no_separators_rejected(self):
         with pytest.raises(ConfigError):

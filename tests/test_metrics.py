@@ -192,3 +192,30 @@ def test_compute_triple_bundles_all_three():
     assert triple.sdr_db == pytest.approx(sdr_brute(est, ref), abs=1e-9)
     assert triple.sdri_db == pytest.approx(sdri_brute(est, mixture, ref), abs=1e-9)
     assert triple.si_sdr_db == pytest.approx(si_sdr_brute(est, ref), abs=1e-9)
+
+
+def test_compute_triple_equals_separate_calls_exactly():
+    rng = np.random.default_rng(11)
+    for n, eps in ((64, 0.0), (4096, 0.0), (64000, 1e-8)):
+        ref = rng.standard_normal(n)
+        mixture = ref + rng.standard_normal(n)
+        est = ref + 0.3 * (mixture - ref) + 0.01 * rng.standard_normal(n)
+        for estimate in (est, mixture, Waveform(est, 16000)):
+            triple = compute_triple(estimate, mixture, ref, eps)
+            assert triple.sdr_db == sdr(estimate, ref, eps)
+            assert triple.sdri_db == sdri(estimate, mixture, ref, eps)
+            assert triple.si_sdr_db == si_sdr(estimate, ref, eps)
+
+
+def test_scoring_never_calls_blas_dot(monkeypatch):
+    # np.dot goes to BLAS, whose worker thread spins on a second core
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    rng = np.random.default_rng(12)
+    ref = rng.standard_normal(1000)
+    est = ref + 0.1 * rng.standard_normal(1000)
+    assert si_sdr(est, ref) == pytest.approx(si_sdr_brute(est, ref), abs=1e-9)
+    triple = compute_triple(est, ref + rng.standard_normal(1000), ref, 1e-8)
+    assert triple.si_sdr_db == pytest.approx(si_sdr_brute(est, ref, 1e-8), abs=1e-9)
