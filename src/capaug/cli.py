@@ -16,10 +16,9 @@ from pathlib import Path
 from . import corpus
 from .audio import mix, read_wav, write_wav
 from .filtering import FilterRules, filter_captions, parse_numbered
-from .harness import (DEFAULT_EVAL_EPSILON, ClipScore, ConfigError, ExperimentConfig,
-                      HarnessError, run_augmentation, write_per_clip_csv)
+from .harness import (DEFAULT_EVAL_EPSILON, ConfigError, EvalItem, ExperimentConfig,
+                      HarnessError, run_augmentation, score_clips, write_per_clip_csv)
 from .llm import LlmConfig
-from .metrics import compute_triple
 from .prompts import PromptKind, builtin_template
 from .reporting import ReportRow, render_report
 from .separation import SeparatorSpec, ensemble, separate
@@ -177,21 +176,22 @@ def cmd_eval(args) -> int:
     names = sorted(p.name for p in est_dir.glob("*.wav"))
     if not names:
         raise ConfigError(f"no WAV files in {est_dir}")
-    scores, failed = [], []
-    for name in names:
+
+    # read one clip at a time, as it is scored
+    def load(name: str) -> EvalItem:
         ref_path, mix_path = ref_dir / name, mix_dir / name
         if not ref_path.exists() or not mix_path.exists():
             raise ConfigError(f"missing reference or mixture for {name}")
-        signals = [read_wav(path) for path in (est_dir / name, mix_path, ref_path)]
-        clip_id = Path(name).stem
-        try:
-            scores.append(ClipScore(clip_id, compute_triple(*signals, args.epsilon)))
-        except ValueError as exc:
-            print(f"clip {clip_id} failed: {exc}", file=sys.stderr)
-            failed.append(clip_id)
-    write_per_clip_csv(Path(args.out), scores)
-    print(f"evaluated {len(scores)} of {len(names)} clips -> {args.out}")
-    return EXIT_PARTIAL if failed else EXIT_OK
+        return EvalItem(Path(name).stem, read_wav(mix_path), read_wav(ref_path), caption="")
+
+    result, _ = score_clips(str(est_dir), map(load, names),
+                            lambda item: read_wav(est_dir / f"{item.clip_id}.wav"),
+                            args.epsilon)
+    write_per_clip_csv(Path(args.out), result.per_clip)
+    if result.failed:
+        print(f"failed clips: {' '.join(result.failed)}", file=sys.stderr)
+    print(f"evaluated {len(result.per_clip)} of {len(names)} clips -> {args.out}")
+    return EXIT_PARTIAL if result.failed else EXIT_OK
 
 
 def cmd_ensemble(args) -> int:

@@ -72,9 +72,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            PromptKind(self.prompt_kind)
+            builtin_template(self.prompt_kind)
         except ValueError as exc:
-            raise ConfigError(f"unknown prompt kind {self.prompt_kind!r}") from exc
+            raise ConfigError(
+                f"prompt kind {self.prompt_kind!r} has no built-in template") from exc
         if self.requested_count < 1:
             raise ConfigError("requested_count must be >= 1")
         names = [name for name, _ in self.separators]
@@ -91,8 +92,8 @@ class ExperimentConfig:
             if definition.weights is not None and \
                     len(definition.weights) != len(definition.members):
                 raise ConfigError(f"ensemble {ens_name!r} needs one weight per member")
-        if not self.use_mock_llm and self.llm is None:
-            raise ConfigError("either enable the mock backend or provide an llm config")
+        if self.use_mock_llm == (self.llm is not None):
+            raise ConfigError("set exactly one backend: use_mock_llm or an llm config")
 
     def to_dict(self) -> dict:
         return {
@@ -240,22 +241,44 @@ class AugmentationStats:
         }
 
 
-def _load_previous_run(out_dir: Path) -> tuple[Manifest | None, AugmentationStats | None]:
+def _load_previous_run(out_dir: Path,
+                       ) -> dict[str, tuple[corpus.ClipEntry, ClipAugmentation]]:
+    """The clips an earlier run in ``out_dir`` completed: entry and stats by clip id.
+
+    A clip that failed at the gateway, or that the earlier manifest lacks, is
+    left out, so a resume processes it again.
+    """
     manifest_path = out_dir / MANIFEST_FILENAME
     stats_path = out_dir / STATS_FILENAME
     if not manifest_path.exists() or not stats_path.exists():
-        return None, None
-    manifest = read_manifest(manifest_path)
+        return {}
+    entries = {entry.clip_id: entry for entry in read_manifest(manifest_path).entries}
     doc = json.loads(stats_path.read_text(encoding="utf-8"))
-    stats = AugmentationStats(per_clip={
-        cid: ClipAugmentation.from_dict(cid, entry)
-        for cid, entry in doc.get("per_clip", {}).items()
-    })
-    return manifest, stats
+    carried = {}
+    for cid, clip_doc in doc.get("per_clip", {}).items():
+        clip_stats = ClipAugmentation.from_dict(cid, clip_doc)
+        if cid in entries and not clip_stats.gateway_failed:
+            carried[cid] = (entries[cid], clip_stats)
+    return carried
+
+
+def _map_in_order(fn, items, workers: int) -> list:
+    """``fn`` over ``items``, results in item order, on ``workers`` threads if > 0.
+
+    Only work that waits on I/O (the HTTP client, external separator
+    processes) gets threads: in-process work is CPU-bound under the GIL,
+    where a thread pool adds overhead and no parallelism, so it runs on the
+    calling thread.
+    """
+    if not workers:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _augment_one(config: ExperimentConfig, template, complete_fn,
-                 clip) -> tuple[ClipAugmentation, list[str]]:
+                 clip: corpus.ClipEntry) -> tuple[corpus.ClipEntry, ClipAugmentation]:
+    """One clip's new entry and stats; a gateway failure leaves the entry as it was."""
     rng = random.Random(f"{config.seed}:{clip.clip_id}")
     index = rng.randrange(len(clip.original_captions))
     prompt = render(template, clip.original_captions[index], config.requested_count)
@@ -263,19 +286,18 @@ def _augment_one(config: ExperimentConfig, template, complete_fn,
         response = complete_fn(prompt)
     except LlmError as exc:
         logger.warning("clip %s: gateway failure: %s", clip.clip_id, exc)
-        stats = ClipAugmentation(
+        return clip, ClipAugmentation(
             clip_id=clip.clip_id, seed_caption_index=index,
             requested=config.requested_count, parsed=0, accepted=0,
             attach_skipped=0, rejected={}, gateway_failed=True, error=str(exc))
-        return stats, []
     candidates = parse_numbered(response.text)
     report = filter_captions(candidates, config.filter_rules)
-    stats = ClipAugmentation(
+    entry, skipped = merge_augmented_captions(clip, report.accepted)
+    return entry, ClipAugmentation(
         clip_id=clip.clip_id, seed_caption_index=index,
         requested=config.requested_count, parsed=len(candidates),
-        accepted=len(report.accepted), attach_skipped=0,
+        accepted=len(report.accepted), attach_skipped=skipped,
         rejected=report.reject_histogram(), gateway_failed=False, error=None)
-    return stats, report.accepted
 
 
 def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
@@ -297,72 +319,34 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
     template = builtin_template(config.prompt_kind)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
-    prev_manifest: Manifest | None = None
-    prev_stats: AugmentationStats | None = None
-    if resume and out_dir is not None:
-        prev_manifest, prev_stats = _load_previous_run(out_dir)
+    carried = _load_previous_run(out_dir) if resume and out_dir is not None else {}
+    if carried:
+        logger.info("resume: %d completed clips found in %s", len(carried), out_dir)
+
+    def augment(clip: corpus.ClipEntry) -> tuple[corpus.ClipEntry, ClipAugmentation]:
+        if clip.clip_id not in carried:
+            return _augment_one(config, template, complete_fn, clip)
+        previous, clip_stats = carried[clip.clip_id]
+        return merge_augmented_captions(clip, previous.augmented_captions)[0], clip_stats
 
     clips = sorted(manifest.entries, key=lambda e: e.clip_id)
-    stats = AugmentationStats()
-    additions: dict[str, list[str]] = {}
-
-    pending = []
-    for clip in clips:
-        carried = False
-        if prev_stats is not None and clip.clip_id in prev_stats.per_clip:
-            prev_clip_stats = prev_stats.per_clip[clip.clip_id]
-            try:
-                prev_entry = prev_manifest.get(clip.clip_id)
-            except KeyError:
-                prev_entry = None
-            if not prev_clip_stats.gateway_failed and prev_entry is not None:
-                additions[clip.clip_id] = prev_entry.augmented_captions
-                stats.per_clip[clip.clip_id] = prev_clip_stats
-                carried = True
-        if not carried:
-            pending.append(clip)
-    if prev_stats is not None:
-        logger.info("resume: %d clips carried over, %d to process",
-                    len(clips) - len(pending), len(pending))
-
-    def augment(clip):
-        return _augment_one(config, template, complete_fn, clip)
-
-    # Only the HTTP client waits on I/O; in-process backends are CPU-bound
-    # under the GIL, where a thread pool adds overhead and no parallelism.
-    if config.llm is not None:
-        with ThreadPoolExecutor(max_workers=config.llm.max_concurrent_requests) as pool:
-            outcomes = list(pool.map(augment, pending))
-    else:
-        outcomes = list(map(augment, pending))
-    pending_stats: dict[str, ClipAugmentation] = {}
-    for clip, (clip_stats, accepted) in zip(pending, outcomes):
-        additions[clip.clip_id] = accepted
-        pending_stats[clip.clip_id] = clip_stats
-        stats.per_clip[clip.clip_id] = clip_stats
+    workers = 0 if config.use_mock_llm else config.llm.max_concurrent_requests
+    outcomes = _map_in_order(augment, clips, workers)
+    stats = AugmentationStats(per_clip={s.clip_id: s for _, s in outcomes})
 
     failures = stats.gateway_failures()
     if clips and len(failures) / len(clips) > ABORT_FAILURE_FRACTION:
         raise HarnessError(
             f"aborting: {len(failures)} of {len(clips)} clips failed at the gateway")
 
-    new_entries = []
-    for entry in manifest.entries:
-        to_add = additions.get(entry.clip_id)
-        if to_add:
-            merged, skipped = merge_augmented_captions(entry, to_add)
-            new_entries.append(merged)
-            if entry.clip_id in pending_stats:
-                pending_stats[entry.clip_id].attach_skipped = skipped
-        else:
-            new_entries.append(entry)
-
+    merged = {entry.clip_id: entry for entry, _ in outcomes}
     metadata = dict(manifest.metadata)
     metadata["created_at"] = manifest.metadata.get("created_at") or corpus.utc_now_iso()
     metadata["tool_version"] = corpus.TOOL_VERSION
     metadata["prompt_kind"] = config.prompt_kind
     metadata["seed"] = config.seed
-    result = Manifest(entries=new_entries, metadata=metadata)
+    result = Manifest(entries=[merged[entry.clip_id] for entry in manifest.entries],
+                      metadata=metadata)
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -425,6 +409,54 @@ def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def score_clips(name: str, items, estimate_of, epsilon: float,
+                clamp_db: float = DEFAULT_CLAMP_DB, est_dir: Path | None = None,
+                keep: bool = False, processes: int = 0,
+                ) -> tuple[SeparatorResult, dict[str, Waveform]]:
+    """Score ``estimate_of(item)`` against each item's reference, in the order given.
+
+    ``items`` is any iterable of :class:`EvalItem` and is read once. A clip
+    whose estimate or score raises ``ExternalSeparatorError`` or
+    ``ValueError`` (an unreadable WAV, a silent reference with
+    ``epsilon=0``) is listed in ``failed``, not raised. With ``est_dir`` each
+    estimate is written there as soon as it is scored. The estimates are
+    returned by clip id only with ``keep``; otherwise each is freed once
+    scored. ``processes`` > 0 scores that many clips at once, for estimators
+    that wait on external processes.
+    """
+    result = SeparatorResult(name=name)
+    if est_dir is not None:
+        est_dir.mkdir(parents=True, exist_ok=True)
+
+    # a function, not a loop body, so that an estimate nothing keeps is
+    # freed before the next one is made
+    def step(item: EvalItem) -> tuple[str, MetricsTriple | None, Waveform | None]:
+        try:
+            estimate = estimate_of(item)
+            triple = compute_triple(estimate, item.mixture, item.reference, epsilon)
+        except (ExternalSeparatorError, ValueError) as exc:
+            logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
+            return item.clip_id, None, None
+        if est_dir is not None:
+            write_wav(est_dir / f"{item.clip_id}.wav", estimate)
+        return item.clip_id, triple, estimate if keep else None
+
+    kept: dict[str, Waveform] = {}
+    for clip_id, triple, estimate in _map_in_order(step, items, processes):
+        if triple is None:
+            result.failed.append(clip_id)
+            continue
+        if keep:
+            kept[clip_id] = estimate
+        result.per_clip.append(ClipScore(clip_id, triple))
+    if result.per_clip:
+        result.aggregate = aggregate([s.metrics for s in result.per_clip], clamp_db)
+    if result.failed:
+        logger.warning("%s failed on %d clips: %s", name, len(result.failed),
+                       result.failed)
+    return result, kept
+
+
 def run_evaluation(config: ExperimentConfig,
                    eval_set: list[EvalItem]) -> EvaluationResult:
     """Evaluate every configured separator and ensemble on an eval set.
@@ -439,56 +471,17 @@ def run_evaluation(config: ExperimentConfig,
         raise ConfigError("no separators configured")
     items = sorted(eval_set, key=lambda i: i.clip_id)
     out_dir = Path(config.out_dir) if config.out_dir else None
-    kept: dict[str, dict[str, Waveform]] = {
-        member: {} for definition in config.ensembles.values()
-        for member in definition.members}
+    members = {m for definition in config.ensembles.values() for m in definition.members}
+    kept: dict[str, dict[str, Waveform]] = {}
     results: dict[str, SeparatorResult] = {}
 
+    # separator-major (all clips of one separator, then the next): a
+    # clip-major order ran slower in-process
     def evaluate(name: str, estimate_of, processes: int = 0) -> None:
-        # separator-major (all clips of one separator, then the next): a
-        # clip-major order ran slower in-process
-        result = SeparatorResult(name=name)
-        est_dir = None
-        if out_dir is not None:
-            est_dir = out_dir / "estimates" / name
-            est_dir.mkdir(parents=True, exist_ok=True)
-
-        # a function, not a loop body, so that an estimate nothing keeps is
-        # freed before the next one is made
-        def step(item: EvalItem) -> tuple[MetricsTriple | None, Waveform | None]:
-            try:
-                estimate = estimate_of(item)
-                triple = compute_triple(estimate, item.mixture, item.reference,
-                                        config.epsilon)
-            except (ExternalSeparatorError, ValueError) as exc:
-                logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
-                return None, None
-            if est_dir is not None:
-                write_wav(est_dir / f"{item.clip_id}.wav", estimate)
-            return triple, estimate if name in kept else None
-
-        # external commands wait on their processes, so up to `processes` clips
-        # run at once; in-process work is CPU-bound under the GIL and stays
-        # on the calling thread
-        if processes:
-            with ThreadPoolExecutor(max_workers=processes) as pool:
-                outcomes = list(pool.map(step, items))
-        else:
-            outcomes = list(map(step, items))
-        for item, (triple, estimate) in zip(items, outcomes):
-            if triple is None:
-                result.failed.append(item.clip_id)
-                continue
-            if estimate is not None:
-                kept[name][item.clip_id] = estimate
-            result.per_clip.append(ClipScore(item.clip_id, triple))
-        if result.per_clip:
-            result.aggregate = aggregate([s.metrics for s in result.per_clip],
-                                         config.clamp_db)
-        if result.failed:
-            logger.warning("%s failed on %d clips: %s", name, len(result.failed),
-                           result.failed)
-        results[name] = result
+        est_dir = None if out_dir is None else out_dir / "estimates" / name
+        results[name], kept[name] = score_clips(
+            name, items, estimate_of, config.epsilon, config.clamp_db, est_dir,
+            keep=name in members, processes=processes)
 
     for name, spec in config.separators:
         # oracle_irm needs the stems; separate() rejects it when they are missing

@@ -240,6 +240,22 @@ class TestSignalCommands:
         assert [line.split(",")[0] for line in lines[1:]] == ["clip_000", "clip_002"]
         assert "clip_001" in capsys.readouterr().err
 
+    def test_eval_unreadable_estimate_fails_only_that_clip(self, tmp_path, capsys):
+        est_dir, ref_dir, mix_dir = (tmp_path / "est", tmp_path / "ref", tmp_path / "mix")
+        for d in (est_dir, ref_dir, mix_dir):
+            d.mkdir()
+        for item in make_synthetic_eval_set(3, seed=0, duration_s=0.25):
+            write_wav(ref_dir / f"{item.clip_id}.wav", item.reference)
+            write_wav(mix_dir / f"{item.clip_id}.wav", item.mixture)
+            write_wav(est_dir / f"{item.clip_id}.wav", item.mixture)
+        (est_dir / "clip_001.wav").write_bytes(b"not a wav file")
+        out = tmp_path / "metrics.csv"
+        assert run_cli("eval", "--estimates", est_dir, "--references", ref_dir,
+                       "--mixtures", mix_dir, "--out", out) == 1
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["clip_000", "clip_002"]
+        assert "clip_001" in capsys.readouterr().err
+
     def test_eval_missing_reference_is_error(self, tmp_path):
         est_dir, ref_dir, mix_dir = (tmp_path / "est", tmp_path / "ref", tmp_path / "mix")
         for d in (est_dir, ref_dir, mix_dir):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capaug.harness as harness
 from capaug.audio import Waveform, read_wav
@@ -79,6 +81,18 @@ class TestConfig:
     def test_backend_required(self):
         with pytest.raises(ConfigError, match="mock"):
             ExperimentConfig(use_mock_llm=False, llm=None)
+
+    def test_mock_and_llm_config_together_rejected(self):
+        # the run would keep the HTTP client's thread pool while its config
+        # and hash record only the mock
+        with pytest.raises(ConfigError, match="exactly one backend"):
+            ExperimentConfig(use_mock_llm=True,
+                             llm=LlmConfig(endpoint_url="http://127.0.0.1:9/complete"))
+
+    def test_prompt_kind_without_builtin_template_rejected(self):
+        # "custom" is a PromptKind, but a run cannot render it
+        with pytest.raises(ConfigError, match="'custom' has no built-in template"):
+            ExperimentConfig(prompt_kind="custom")
 
     def test_from_json_file_errors(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -256,6 +270,29 @@ class TestRunAugmentation:
                           max_concurrent_requests=2))
         run_augmentation(config, manifest=synthetic_manifest, complete_fn=slow)
         assert peak == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(failing=st.sets(st.integers(0, 9), max_size=5))
+    def test_resume_after_any_minority_of_gateway_failures_matches_uninterrupted_run(
+            self, tmp_path_factory, failing):
+        manifest = read_manifest(Path(__file__).parent / "data" / "synthetic_manifest.json")
+        # every caption is unique to its clip, so a prompt names its clip
+        doomed = [caption for entry in manifest.entries
+                  if int(entry.clip_id[-3:]) in failing
+                  for caption in entry.original_captions]
+
+        def flaky(prompt):
+            if any(caption in prompt for caption in doomed):
+                raise LlmError("boom")
+            return mock_complete(prompt, 0)
+
+        outputs = []
+        for backends in ([None], [flaky, None]):
+            config = _mock_config(out_dir=str(tmp_path_factory.mktemp("run")))
+            for complete_fn in backends:
+                run_augmentation(config, manifest=manifest, complete_fn=complete_fn)
+            outputs.append({p.name: p.read_bytes() for p in Path(config.out_dir).iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_no_resume_reprocesses_everything(self, tmp_path, synthetic_manifest):
         config = _mock_config(tmp_path)
@@ -495,6 +532,17 @@ class TestRunEvaluation:
         result = run_evaluation(_eval_config(), items)
         rows = result.report_rows()
         assert [r.model for r in rows] == ["identity", "oracle"]
+
+
+class TestScoreClips:
+    def test_scores_an_iterator_once_in_the_order_given(self):
+        items = make_synthetic_eval_set(3, seed=11, duration_s=0.25)[::-1]
+        result, kept = harness.score_clips("identity", iter(items),
+                                           lambda item: item.mixture, 1e-8, keep=True)
+        assert [s.clip_id for s in result.per_clip] == ["clip_002", "clip_001", "clip_000"]
+        assert result.failed == []
+        assert all(kept[item.clip_id] is item.mixture for item in items)
+        assert abs(result.aggregate.sdri_db) <= 1e-7
 
 
 class TestSyntheticEvalSet:
