@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -17,7 +18,8 @@ from . import corpus
 from .audio import mix, read_wav, write_wav
 from .filtering import FilterRules, filter_captions, parse_numbered
 from .harness import (DEFAULT_EVAL_EPSILON, ConfigError, EvalItem, ExperimentConfig,
-                      HarnessError, run_augmentation, score_clips, write_per_clip_csv)
+                      HarnessError, load_config, run_augmentation, score_clips,
+                      write_per_clip_csv)
 from .llm import LlmConfig
 from .prompts import PromptKind, builtin_template
 from .reporting import ReportRow, render_report
@@ -66,36 +68,39 @@ def cmd_ingest(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_json_file(args.config)
-    else:
-        config = ExperimentConfig()
-    if getattr(args, "manifest", None):
-        config.manifest_path = args.manifest
-    if getattr(args, "prompt", None):
-        config.prompt_kind = _prompt_kind(args.prompt).value
-    if getattr(args, "count", None):
-        config.requested_count = args.count
-    if getattr(args, "rules", None):
-        config.filter_rules = FilterRules.from_json_file(args.rules)
-    if getattr(args, "mock_llm", False):
-        config.use_mock_llm = True
-        config.llm = None
-    if getattr(args, "llm_endpoint", None):
-        config.use_mock_llm = False
-        base = config.llm or LlmConfig(endpoint_url=args.llm_endpoint)
-        doc = base.to_dict()
-        doc["endpoint_url"] = args.llm_endpoint
-        if getattr(args, "llm_model", None):
-            doc["model_id"] = args.llm_model
-        config.llm = LlmConfig.from_dict(doc)
+    """The ``--config`` file (or the defaults) with the flags applied, validated as a whole.
+
+    ``--mock-llm`` and ``--llm-endpoint`` choose the backend; ``--llm-model``
+    sets the model of whichever HTTP backend is then in force.
+    """
+    config = load_config(args.config, ExperimentConfig.from_dict) if args.config \
+        else ExperimentConfig()
+    if args.mock_llm and args.llm_endpoint:
+        raise ConfigError("--mock-llm and --llm-endpoint choose different backends")
+    llm = None if args.mock_llm else config.llm
+    if args.llm_endpoint:
+        llm = dataclasses.replace(llm or LlmConfig(), endpoint_url=args.llm_endpoint)
+    if args.llm_model:
+        if llm is None:
+            raise ConfigError("--llm-model needs an HTTP backend: give --llm-endpoint "
+                              "or a config with an llm endpoint")
+        llm = dataclasses.replace(llm, model_id=args.llm_model)
+    changes = {"llm": llm, "use_mock_llm": llm is None}
+    if args.manifest:
+        changes["manifest_path"] = args.manifest
+    if args.prompt:
+        changes["prompt_kind"] = _prompt_kind(args.prompt).value
+    if args.count is not None:
+        changes["requested_count"] = args.count
+    if args.rules:
+        changes["filter_rules"] = load_config(args.rules, FilterRules.from_dict)
     if args.seed is not None:
-        config.seed = args.seed
-        if config.use_mock_llm:
-            config.mock_seed = args.seed
+        changes["seed"] = args.seed
+        if llm is None:
+            changes["mock_seed"] = args.seed
     if args.out_dir:
-        config.out_dir = args.out_dir
-    return config
+        changes["out_dir"] = args.out_dir
+    return dataclasses.replace(config, **changes)
 
 
 def cmd_augment(args) -> int:
@@ -115,7 +120,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    rules = FilterRules.from_json_file(args.rules) if args.rules else FilterRules()
+    rules = load_config(args.rules, FilterRules.from_dict) if args.rules else FilterRules()
     out_lines = []
     with open(args.responses, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -123,9 +128,10 @@ def cmd_filter(args) -> int:
             if not line:
                 continue
             doc = json.loads(line)
-            if "clip_id" not in doc or "response_text" not in doc:
-                raise ConfigError(
-                    f"{args.responses}:{line_no}: expected {{clip_id, response_text}}")
+            if not (isinstance(doc, dict) and "clip_id" in doc
+                    and isinstance(doc.get("response_text"), str)):
+                raise ConfigError(f"{args.responses}:{line_no}: expected "
+                                  "{clip_id, response_text} with a string response_text")
             report = filter_captions(parse_numbered(doc["response_text"]), rules)
             out_lines.append(json.dumps(
                 {"clip_id": doc["clip_id"], **report.to_dict()}, ensure_ascii=False))
@@ -160,7 +166,7 @@ def cmd_mix(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    spec = SeparatorSpec.from_json_file(args.spec)
+    spec = load_config(args.spec, SeparatorSpec.from_dict)
     mixture = read_wav(args.mixture)
     oracle_sources = None
     if args.target and args.interference:
@@ -203,10 +209,9 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.rows).read_text(encoding="utf-8"))
-    rows = [ReportRow.from_values(
+    rows = load_config(args.rows, lambda doc: [ReportRow.from_values(
         r["model"], r.get("training_dataset", "-"), r.get("caption_augmentation", "-"),
-        float(r["sdr"]), float(r["sdri"]), float(r["si_sdr"])) for r in doc]
+        float(r["sdr"]), float(r["sdri"]), float(r["si_sdr"])) for r in doc])
     text = render_report(rows, fmt=args.format, config_hash=args.config_hash)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -9,10 +9,9 @@ accepted caption, overflow past the accepted budget.
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 DEFAULT_MAX_WORDS = 20
@@ -53,27 +52,11 @@ class FilterRules:
         object.__setattr__(self, "banned_words", tuple(self.banned_words))
 
     def to_dict(self) -> dict:
-        return {
-            "max_words": self.max_words,
-            "min_words": self.min_words,
-            "banned_words": list(self.banned_words),
-            "failure_token": self.failure_token,
-            "max_accepted": self.max_accepted,
-        }
+        return vars(self).copy()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FilterRules":
-        known = {f: doc[f] for f in
-                 ("max_words", "min_words", "banned_words", "failure_token", "max_accepted")
-                 if f in doc}
-        if "banned_words" in known:
-            known["banned_words"] = tuple(known["banned_words"])
-        return cls(**known)
-
-    @classmethod
-    def from_json_file(cls, path) -> "FilterRules":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 @dataclass

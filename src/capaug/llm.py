@@ -15,7 +15,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import requests
 
@@ -78,22 +78,11 @@ class LlmConfig:
             raise ValueError("max_retries must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "endpoint_url": self.endpoint_url,
-            "model_id": self.model_id,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
-            "max_concurrent_requests": self.max_concurrent_requests,
-            "api_key_env": self.api_key_env,
-        }
+        return vars(self).copy()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LlmConfig":
-        fields = ("endpoint_url", "model_id", "temperature", "max_tokens", "timeout_s",
-                  "max_retries", "max_concurrent_requests", "api_key_env")
-        return cls(**{f: doc[f] for f in fields if f in doc})
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 @dataclass(frozen=True)

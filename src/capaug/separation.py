@@ -11,7 +11,6 @@ Three separator kinds are supported:
 
 from __future__ import annotations
 
-import json
 import logging
 import shlex
 import subprocess
@@ -79,11 +78,6 @@ class SeparatorSpec:
         if "timeout_s" in doc:
             kwargs["timeout_s"] = doc["timeout_s"]
         return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path) -> "SeparatorSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,

@@ -1,12 +1,18 @@
 import json
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capaug.audio import Waveform, read_wav, write_wav
-from capaug.cli import main
+from capaug.cli import _experiment_config, build_parser, main
 from capaug.harness import make_synthetic_eval_set
+
+
+LOOPBACK = "http://127.0.0.1:9/complete"
+HTTP_CONFIG = {"llm": {"mock": False, "endpoint_url": LOOPBACK,
+                       "max_concurrent_requests": 2}}
 
 
 def run_cli(*args):
@@ -110,6 +116,44 @@ class TestAugment:
         config_path.write_text("{broken json")
         assert run_cli("augment", "--config", config_path) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--count", 0],
+        ["--count", -1],
+        ["--llm-model", "phi-3"],  # the default backend is the mock
+        ["--mock-llm", "--llm-model", "phi-3"],
+        ["--mock-llm", "--llm-endpoint", LOOPBACK],
+    ])
+    def test_bad_flag_combination_exit_2(self, tmp_path, data_dir, capsys, flags):
+        out_dir = tmp_path / "run"
+        assert run_cli("augment", "--manifest", data_dir / "synthetic_manifest.json",
+                       "--out-dir", out_dir, *flags) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("doc, flags, expected", [
+        (HTTP_CONFIG, ["--llm-model", "phi-3"],
+         {"llm.model_id": "phi-3", "llm.endpoint_url": LOOPBACK,
+          "llm.max_concurrent_requests": 2}),
+        (None, ["--llm-endpoint", LOOPBACK, "--llm-model", "phi-3"],
+         {"llm.model_id": "phi-3", "llm.endpoint_url": LOOPBACK}),
+        (HTTP_CONFIG, ["--llm-endpoint", "http://127.0.0.1:10/complete"],
+         {"llm.model_id": "phi-2", "llm.endpoint_url": "http://127.0.0.1:10/complete",
+          "llm.max_concurrent_requests": 2}),
+        (None, ["--seed", 5], {"use_mock_llm": True, "seed": 5, "mock_seed": 5}),
+        (HTTP_CONFIG, ["--mock-llm", "--seed", 5],
+         {"use_mock_llm": True, "llm": None, "seed": 5, "mock_seed": 5}),
+        (HTTP_CONFIG, ["--seed", 5], {"use_mock_llm": False, "seed": 5}),
+        (None, ["--count", 2], {"requested_count": 2}),
+    ])
+    def test_flags_override_config(self, tmp_path, doc, flags, expected):
+        argv = ["augment", *map(str, flags)]
+        if doc is not None:
+            config_path = tmp_path / "exp.json"
+            config_path.write_text(json.dumps(doc))
+            argv += ["--config", str(config_path)]
+        config = _experiment_config(build_parser().parse_args(argv))
+        assert {name: attrgetter(name)(config) for name in expected} == expected
+
 
 class TestFilter:
     def test_filter_responses_jsonl(self, tmp_path, capsys):
@@ -139,11 +183,40 @@ class TestFilter:
         doc = json.loads(out.read_text())
         assert doc["rejected"][0]["reason"] == "TooLong"
 
-    def test_malformed_line_is_config_error(self, tmp_path):
+    def test_malformed_line_is_config_error(self, tmp_path, capsys):
         responses = tmp_path / "responses.jsonl"
-        responses.write_text(json.dumps({"clip_id": "a"}))
-        assert run_cli("filter", "--responses", responses,
-                       "--out", tmp_path / "o.jsonl") == 2
+        good = json.dumps({"clip_id": "a", "response_text": "① A dog barks outside."})
+        for bad in ({"clip_id": "a"}, {"clip_id": "a", "response_text": 3}, ["a"]):
+            responses.write_text(good + "\n" + json.dumps(bad))
+            assert run_cli("filter", "--responses", responses,
+                           "--out", tmp_path / "o.jsonl") == 2
+            assert capsys.readouterr().err.startswith(f"config error: {responses}:2:")
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("option, doc", [
+        ("--rules", {"max_words": "20"}),
+        ("--spec", {"kind": "oracle_irm", "stft": {"win": 1}}),
+        ("--spec", {"stft": {"window_size": 512}}),
+        ("--config", {"prompt": {"count": 0}}),
+        ("--config", {"separators": [{"kind": "identity"}]}),
+        ("--rows", [{"sdr": 0.0, "sdri": 0.0, "si_sdr": 0.0}]),
+        ("--rows", [{"model": "m", "sdr": "high", "sdri": 0.0, "si_sdr": 0.0}]),
+    ])
+    def test_bad_document_exit_2(self, tmp_path, wav_pair, capsys, option, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(json.dumps({"clip_id": "a", "response_text": "① A dog barks."}))
+        argv = {
+            "--rules": ["filter", "--responses", responses, "--out", tmp_path / "o.jsonl"],
+            "--spec": ["separate", "--mixture", wav_pair[0], "--caption", "x",
+                       "--out", tmp_path / "est.wav"],
+            "--config": ["augment", "--mock-llm"],
+            "--rows": ["report"],
+        }[option]
+        assert run_cli(*argv, option, path) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
 
 class TestStats:

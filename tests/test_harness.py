@@ -3,6 +3,7 @@ import math
 import threading
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 import capaug.harness as harness
 from capaug.audio import Waveform, read_wav
-from capaug.corpus import new_manifest, read_manifest
+from capaug.corpus import Manifest, new_manifest, read_manifest
 from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig,
-                            HarnessError, make_synthetic_eval_set, run_augmentation,
-                            run_evaluation)
+                            HarnessError, load_config, make_synthetic_eval_set,
+                            run_augmentation, run_evaluation)
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
 from capaug import separation
 from capaug.separation import SeparatorSpec, ensemble
@@ -94,11 +95,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'custom' has no built-in template"):
             ExperimentConfig(prompt_kind="custom")
 
-    def test_from_json_file_errors(self, tmp_path):
+    def test_load_config_errors(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing.json"):
+            load_config(tmp_path / "missing.json", ExperimentConfig.from_dict)
         path = tmp_path / "bad.json"
-        path.write_text("{broken")
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_json_file(path)
+        for text in ("{broken",                                  # malformed
+                     "[]",                                       # not an object
+                     '{"separators": [{"kind": "identity"}]}',   # no separator name
+                     '{"filter_rules": {"max_words": "20"}}',    # wrong-typed
+                     '{"prompt": {"count": 0}}'):                # out of range
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="bad.json"):
+                load_config(path, ExperimentConfig.from_dict)
 
 
 class TestRunAugmentation:
@@ -165,6 +173,23 @@ class TestRunAugmentation:
             assert stats.per_clip[clip_id].parsed == 0
             assert stats.per_clip[clip_id].error == "boom"
             assert manifest.get(clip_id).augmented_captions == []
+
+    def test_blank_source_caption_fails_only_its_clip(self, tmp_path, synthetic_manifest):
+        entries = [replace(e, original_captions=["   "]) if e.clip_id == "clip_003" else e
+                   for e in synthetic_manifest.entries]
+        manifest, stats = run_augmentation(
+            _mock_config(tmp_path), manifest=Manifest(entries, synthetic_manifest.metadata))
+        clip_stats = stats.per_clip["clip_003"]
+        assert clip_stats.error == "source caption is empty"
+        assert not clip_stats.gateway_failed
+        assert (clip_stats.parsed, clip_stats.accepted) == (0, 0)
+        assert manifest.get("clip_003").augmented_captions == []
+        reference, _ = run_augmentation(_mock_config(), manifest=synthetic_manifest)
+        others = [e for e in manifest.entries if e.clip_id != "clip_003"]
+        assert len(others) == 9
+        assert others == [e for e in reference.entries if e.clip_id != "clip_003"]
+        written = read_manifest(tmp_path / "run" / "manifest.json")
+        assert written.entries == manifest.entries
 
     def test_abort_when_most_clips_fail(self, synthetic_manifest):
         def broken(prompt):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capaug.audio import StftParams, Waveform, mix, read_wav, tone_burst, white_noise, write_wav
+from capaug.harness import load_config
 from capaug.metrics import sdr
 from capaug.separation import (ExternalSeparatorError, SeparatorSpec, ensemble, irm_mask,
                                separate)
@@ -40,10 +41,10 @@ class TestSpec:
         ):
             assert SeparatorSpec.from_dict(spec.to_dict()) == spec
 
-    def test_from_json_file(self, tmp_path):
+    def test_load_config(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "identity"}))
-        assert SeparatorSpec.from_json_file(path).kind == "identity"
+        assert load_config(path, SeparatorSpec.from_dict).kind == "identity"
 
 
 class TestIdentity:
