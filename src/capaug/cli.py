@@ -190,9 +190,8 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"missing reference or mixture for {name}")
         return EvalItem(Path(name).stem, read_wav(mix_path), read_wav(ref_path), caption="")
 
-    result, _ = score_clips(str(est_dir), map(load, names),
-                            lambda item: read_wav(est_dir / f"{item.clip_id}.wav"),
-                            args.epsilon)
+    estimators = {str(est_dir): lambda item, _: read_wav(est_dir / f"{item.clip_id}.wav")}
+    [result] = score_clips(map(load, names), estimators, args.epsilon).values()
     write_per_clip_csv(Path(args.out), result.per_clip)
     if result.failed:
         print(f"failed clips: {' '.join(result.failed)}", file=sys.stderr)

@@ -95,9 +95,6 @@ class Manifest:
                 raise ValueError(f"duplicate clip_id in manifest: {entry.clip_id!r}")
             self._by_id[entry.clip_id] = entry
 
-    def clip_ids(self) -> list[str]:
-        return [e.clip_id for e in self.entries]
-
     def get(self, clip_id: str) -> ClipEntry:
         try:
             return self._by_id[clip_id]

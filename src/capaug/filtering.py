@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 DEFAULT_MAX_WORDS = 20
@@ -49,6 +49,9 @@ class FilterRules:
             raise ValueError("min_words must not exceed max_words")
         if self.max_accepted < 1:
             raise ValueError("max_accepted must be >= 1")
+        if isinstance(self.banned_words, str) or not all(
+                isinstance(w, str) for w in (*self.banned_words, self.failure_token)):
+            raise ValueError("banned_words must be a list of words, failure_token a word")
         object.__setattr__(self, "banned_words", tuple(self.banned_words))
 
     def to_dict(self) -> dict:
@@ -56,7 +59,10 @@ class FilterRules:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FilterRules":
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+        unknown = sorted(set(doc) - set(vars(cls())))
+        if unknown:
+            raise ValueError(f"unknown filter rule keys {unknown}")
+        return cls(**doc)
 
 
 @dataclass

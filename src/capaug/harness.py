@@ -14,6 +14,7 @@ import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,8 @@ class ExperimentConfig:
             if definition.weights is not None and \
                     len(definition.weights) != len(definition.members):
                 raise ConfigError(f"ensemble {ens_name!r} needs one weight per member")
+        if not (self.clamp_db > 0 and self.epsilon >= 0):  # NaN fails this too
+            raise ConfigError("clamp_db must be > 0 and epsilon >= 0")
         if self.use_mock_llm == (self.llm is not None):
             raise ConfigError("set exactly one backend: use_mock_llm or an llm config")
 
@@ -132,19 +135,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        prompt = doc.get("prompt", {})
-        llm_doc = doc.get("llm", {"mock": True, "seed": 0})
-        use_mock = bool(llm_doc.get("mock", False))
-        separators = []
-        for item in doc.get("separators", []):
-            separators.append((item["name"], SeparatorSpec.from_dict(item)))
-        ensembles = {}
-        for name, d in doc.get("ensembles", {}).items():
-            weights = d.get("weights")
-            ensembles[name] = EnsembleDef(
-                members=tuple(d["members"]),
-                weights=tuple(weights) if weights else None,
-            )
+        prompt, ensemble_docs = doc.get("prompt", {}), doc.get("ensembles", {})
+        llm_doc = dict(doc.get("llm", {"mock": True, "seed": 0}))
+        use_mock = bool(llm_doc.pop("mock", False))
+        parts = [("config", doc, cls().to_dict()), ("prompt", prompt, ("kind", "count")),
+                 ("llm", llm_doc, ("seed",) if use_mock else vars(LlmConfig()))]
+        parts += [("ensemble", d, ("members", "weights")) for d in ensemble_docs.values()]
+        for where, part, known in parts:
+            unknown = sorted(set(part) - set(known))
+            if unknown:
+                raise ConfigError(f"unknown {where} keys {unknown}")
+        separators = [(item["name"], SeparatorSpec.from_dict(
+            {k: v for k, v in item.items() if k != "name"}))
+            for item in doc.get("separators", [])]
+        ensembles = {name: EnsembleDef(tuple(d["members"]),
+                                       tuple(d["weights"]) if d.get("weights") else None)
+                     for name, d in ensemble_docs.items()}
         return cls(
             manifest_path=doc.get("manifest"),
             prompt_kind=prompt.get("kind", PromptKind.MODIFIED_WAVCAPS.value),
@@ -404,98 +410,89 @@ def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def score_clips(name: str, items, estimate_of, epsilon: float,
-                clamp_db: float = DEFAULT_CLAMP_DB, est_dir: Path | None = None,
-                keep: bool = False, processes: int = 0,
-                ) -> tuple[SeparatorResult, dict[str, Waveform]]:
-    """Score ``estimate_of(item)`` against each item's reference, in the order given.
+def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLAMP_DB,
+                est_dir: Path | None = None, workers: int = 0,
+                ) -> dict[str, SeparatorResult]:
+    """Score every estimator on each item, clip by clip, in the order given.
 
-    ``items`` is any iterable of :class:`EvalItem` and is read once. A clip
-    whose estimate or score raises ``ExternalSeparatorError`` or
-    ``ValueError`` (an unreadable WAV, a silent reference with
-    ``epsilon=0``) is listed in ``failed``, not raised. With ``est_dir`` each
-    estimate is written there as soon as it is scored. The estimates are
-    returned by clip id only with ``keep``; otherwise each is freed once
-    scored. ``processes`` > 0 scores that many clips at once, for estimators
-    that wait on external processes.
+    ``estimators`` maps a name to ``estimate_of(item, estimates)``, where
+    ``estimates`` holds the estimates earlier names made of the same clip.
+    ``items`` is any iterable of :class:`EvalItem`, read once. A clip whose
+    estimate or score raises ``ExternalSeparatorError`` or ``ValueError`` is
+    listed in that name's ``failed``. With ``est_dir``, estimates are written
+    to ``est_dir/<name>/`` as soon as they are scored. A clip's estimates are
+    freed once it is done; ``workers`` > 0 runs that many clips at once.
     """
-    result = SeparatorResult(name=name)
+    results = {name: SeparatorResult(name=name) for name in estimators}
     if est_dir is not None:
-        est_dir.mkdir(parents=True, exist_ok=True)
+        for name in estimators:
+            (est_dir / name).mkdir(parents=True, exist_ok=True)
 
-    # a function, not a loop body, so that an estimate nothing keeps is
-    # freed before the next one is made
-    def step(item: EvalItem) -> tuple[str, MetricsTriple | None, Waveform | None]:
-        try:
-            estimate = estimate_of(item)
-            triple = compute_triple(estimate, item.mixture, item.reference, epsilon)
-        except (ExternalSeparatorError, ValueError) as exc:
-            logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
-            return item.clip_id, None, None
-        if est_dir is not None:
-            write_wav(est_dir / f"{item.clip_id}.wav", estimate)
-        return item.clip_id, triple, estimate if keep else None
+    # a function, not a loop body, so that a clip's estimates are freed
+    # before the next clip's are made
+    def step(item: EvalItem) -> tuple[str, dict[str, MetricsTriple]]:
+        estimates, triples = {}, {}
+        for name, estimate_of in estimators.items():
+            try:
+                estimate = estimate_of(item, estimates)
+                triples[name] = compute_triple(estimate, item.mixture, item.reference,
+                                               epsilon)
+            except (ExternalSeparatorError, ValueError) as exc:
+                logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
+                continue
+            estimates[name] = estimate
+            if est_dir is not None:
+                write_wav(est_dir / name / f"{item.clip_id}.wav", estimate)
+        return item.clip_id, triples
 
-    kept: dict[str, Waveform] = {}
-    for clip_id, triple, estimate in _map_in_order(step, items, processes):
-        if triple is None:
-            result.failed.append(clip_id)
-            continue
-        if keep:
-            kept[clip_id] = estimate
-        result.per_clip.append(ClipScore(clip_id, triple))
-    if result.per_clip:
-        result.aggregate = aggregate([s.metrics for s in result.per_clip], clamp_db)
-    if result.failed:
-        logger.warning("%s failed on %d clips: %s", name, len(result.failed),
-                       result.failed)
-    return result, kept
+    for clip_id, triples in _map_in_order(step, items, workers):
+        for name, result in results.items():
+            if name in triples:
+                result.per_clip.append(ClipScore(clip_id, triples[name]))
+            else:
+                result.failed.append(clip_id)
+    for name, result in results.items():
+        if result.per_clip:
+            result.aggregate = aggregate([s.metrics for s in result.per_clip], clamp_db)
+        if result.failed:
+            logger.warning("%s failed on %d clips: %s", name, len(result.failed),
+                           result.failed)
+    return results
 
 
 def run_evaluation(config: ExperimentConfig,
                    eval_set: list[EvalItem]) -> EvaluationResult:
     """Evaluate every configured separator and ensemble on an eval set.
 
-    Each estimate is written as soon as it is scored when an output directory
-    is configured; only the estimates of ensemble members are kept in memory
-    until the ensembles run. A separator or scoring failure on a clip (for
-    example a silent reference with ``epsilon=0``) excludes that clip from
-    the separator's aggregate and is reported, not fatal.
+    Clip by clip, each separator and then each ensemble makes and scores its
+    estimate, which is written at once when an output directory is configured.
+    A separator or scoring failure on a clip (for example a silent reference
+    with ``epsilon=0``) excludes that clip from the separator's aggregate and
+    is reported, not fatal.
     """
     if not config.separators:
         raise ConfigError("no separators configured")
-    items = sorted(eval_set, key=lambda i: i.clip_id)
     out_dir = Path(config.out_dir) if config.out_dir else None
-    members = {m for definition in config.ensembles.values() for m in definition.members}
-    kept: dict[str, dict[str, Waveform]] = {}
-    results: dict[str, SeparatorResult] = {}
 
-    # separator-major (all clips of one separator, then the next): a
-    # clip-major order ran slower in-process
-    def evaluate(name: str, estimate_of, processes: int = 0) -> None:
-        est_dir = None if out_dir is None else out_dir / "estimates" / name
-        results[name], kept[name] = score_clips(
-            name, items, estimate_of, config.epsilon, config.clamp_db, est_dir,
-            keep=name in members, processes=processes)
-
-    for name, spec in config.separators:
+    def run_separator(spec: SeparatorSpec, item: EvalItem, _estimates) -> Waveform:
         # oracle_irm needs the stems; separate() rejects it when they are missing
-        def run_separator(item: EvalItem) -> Waveform:
-            sources = None if item.interference is None else (item.reference,
-                                                              item.interference)
-            return separate(spec, item.mixture, item.caption, sources)
-        evaluate(name, run_separator,
-                 EXTERNAL_PROCESS_BOUND if spec.kind == KIND_EXTERNAL else 0)
+        sources = None if item.interference is None else (item.reference, item.interference)
+        return separate(spec, item.mixture, item.caption, sources)
 
-    for ens_name, definition in config.ensembles.items():
-        def combine(item: EvalItem) -> Waveform:
-            missing = [m for m in definition.members if item.clip_id not in kept[m]]
-            if missing:
-                raise ValueError(f"no estimate from members {missing}")
-            return ensemble([kept[m][item.clip_id] for m in definition.members],
-                            definition.weights)
-        evaluate(ens_name, combine)
+    def combine(definition: EnsembleDef, item: EvalItem, estimates: dict) -> Waveform:
+        missing = [m for m in definition.members if m not in estimates]
+        if missing:
+            raise ValueError(f"no estimate from members {missing}")
+        return ensemble([estimates[m] for m in definition.members], definition.weights)
 
+    estimators = {name: partial(run_separator, spec) for name, spec in config.separators}
+    estimators.update((name, partial(combine, definition))
+                      for name, definition in config.ensembles.items())
+    external = any(spec.kind == KIND_EXTERNAL for _, spec in config.separators)
+    results = score_clips(sorted(eval_set, key=lambda i: i.clip_id), estimators,
+                          config.epsilon, config.clamp_db,
+                          None if out_dir is None else out_dir / "estimates",
+                          EXTERNAL_PROCESS_BOUND if external else 0)
     evaluation = EvaluationResult(separators=results, config_hash=config.hash())
     if out_dir is not None:
         metrics_dir = out_dir / "metrics"

@@ -15,7 +15,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import requests
 
@@ -82,7 +82,10 @@ class LlmConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LlmConfig":
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+        unknown = sorted(set(doc) - set(vars(cls())))
+        if unknown:
+            raise ValueError(f"unknown llm keys {unknown}")
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

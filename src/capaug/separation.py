@@ -69,15 +69,12 @@ class SeparatorSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SeparatorSpec":
-        kind = doc["kind"]
-        kwargs: dict = {"kind": kind}
-        if "stft" in doc:
-            kwargs["stft_params"] = StftParams(**doc["stft"])
-        if "command" in doc:
-            kwargs["command_template"] = doc["command"]
-        if "timeout_s" in doc:
-            kwargs["timeout_s"] = doc["timeout_s"]
-        return cls(**kwargs)
+        unknown = sorted(set(doc) - {"kind", "stft", "command", "timeout_s"})
+        if unknown:
+            raise ValueError(f"unknown separator keys {unknown}")
+        return cls(kind=doc["kind"], stft_params=StftParams(**doc.get("stft", {})),
+                   command_template=doc.get("command", ""),
+                   timeout_s=doc.get("timeout_s", DEFAULT_EXTERNAL_TIMEOUT_S))
 
 
 def _oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,

@@ -202,6 +202,12 @@ class TestConfigFiles:
         ("--config", {"separators": [{"kind": "identity"}]}),
         ("--rows", [{"sdr": 0.0, "sdri": 0.0, "si_sdr": 0.0}]),
         ("--rows", [{"model": "m", "sdr": "high", "sdri": 0.0, "si_sdr": 0.0}]),
+        ("--rules", {"banned_words": "heard"}),
+        ("--rules", {"banned_words": ["heard", 3]}),
+        ("--rules", {"failure_token": 0}),
+        ("--rules", {"max_word": 20}),
+        ("--spec", {"kind": "identity", "knd": 1}),
+        ("--config", {"sed": 3}),
     ])
     def test_bad_document_exit_2(self, tmp_path, wav_pair, capsys, option, doc):
         path = tmp_path / "doc.json"

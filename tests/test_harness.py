@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 import threading
 import time
 import weakref
@@ -20,6 +22,54 @@ from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
 from capaug import separation
 from capaug.separation import SeparatorSpec, ensemble
+
+
+# sha256 of every output file of the run in test_output_bytes_are_pinned: a change to
+# evaluation order or concurrency must reproduce them byte for byte
+EVAL_DIGESTS = {
+    "estimates/ens/clip_000.wav":
+        "edeeaf5293e0b6df84f449d028c214ab346eee752db40c74d331c5720198f2e3",
+    "estimates/ens/clip_001.wav":
+        "11303678093cd8638cde9de7638f2d613a9aec5054e9e332ed3d738c869b445e",
+    "estimates/ens/clip_002.wav":
+        "d2e7dcfe2d06ac4c26f1880b8b90d6626806d105ac1cafc579e3ab76e1f64e44",
+    "estimates/ens/clip_003.wav":
+        "c05d821a577ac3e6de4dbde839f076e74626b215cbadf2ef81f18ccb13505d78",
+    "estimates/external_identity/clip_000.wav":
+        "655b1f23816b64be6ce718aac372cd4353f578baf54d2500ebb312001389c184",
+    "estimates/external_identity/clip_001.wav":
+        "8fee1078bf0c5fe986e1beb21bb86ca13ee2b2ff954063bc9d9f05b6cbc5c75a",
+    "estimates/external_identity/clip_002.wav":
+        "21c23391be9e425928de70c483c1fcfd4d83521a37fb26083024eadc03186b58",
+    "estimates/external_identity/clip_003.wav":
+        "6b985c01910f109e3bbda224bbd7d2661dd90eaf453f25556774dea53a58c86d",
+    "estimates/identity/clip_000.wav":
+        "655b1f23816b64be6ce718aac372cd4353f578baf54d2500ebb312001389c184",
+    "estimates/identity/clip_001.wav":
+        "8fee1078bf0c5fe986e1beb21bb86ca13ee2b2ff954063bc9d9f05b6cbc5c75a",
+    "estimates/identity/clip_002.wav":
+        "21c23391be9e425928de70c483c1fcfd4d83521a37fb26083024eadc03186b58",
+    "estimates/identity/clip_003.wav":
+        "6b985c01910f109e3bbda224bbd7d2661dd90eaf453f25556774dea53a58c86d",
+    "estimates/oracle_irm/clip_000.wav":
+        "4f4f0829107b26864d0d71d64e3727bdb51d444d91de229dc0fbf7b67901c251",
+    "estimates/oracle_irm/clip_001.wav":
+        "6e273d5307e6f0854e221b5ee8b83fbe6310fff2a8d1485804ad1e2b205bff8f",
+    "estimates/oracle_irm/clip_002.wav":
+        "3f376eb18f870702a15df72761dabad3d7b0ee3861cc45c82145b5beba88ba82",
+    "estimates/oracle_irm/clip_003.wav":
+        "81263a0b4df54c70998a9ddd605a8bf5ae450abb80209743cae288b2b08eb1f5",
+    "metrics/ens.csv":
+        "220ad39004b296daf6f9649d921a2a0fc05257bb947dd8d522ddc11af2458405",
+    "metrics/external_identity.csv":
+        "99623c0b2416db9739a1d4539896988d755fc257868c073cb1ba309a066c18b0",
+    "metrics/identity.csv":
+        "609c0818f9e7210746a3e2511fd8b4bf923e6d18f0f06f95068a844a2f62781f",
+    "metrics/oracle_irm.csv":
+        "3491330f8e593ed320e5c2c1036ec7a98c2851e1595b20e5879b70d88418f99d",
+    "report.md":
+        "efdf95e0983b973bf62590ffbfdf1f1fa8d8c4128ac727cc952f1666893b8b5a",
+}
 
 
 def _mock_config(tmp_path=None, **kwargs):
@@ -103,10 +153,49 @@ class TestConfig:
                      "[]",                                       # not an object
                      '{"separators": [{"kind": "identity"}]}',   # no separator name
                      '{"filter_rules": {"max_words": "20"}}',    # wrong-typed
+                     '{"filter_rules": {"banned_words": "heard"}}',
+                     '{"filter_rules": {"banned_words": ["heard", 3]}}',
+                     '{"filter_rules": {"failure_token": 0}}',
                      '{"prompt": {"count": 0}}'):                # out of range
             path.write_text(text)
             with pytest.raises(ConfigError, match="bad.json"):
                 load_config(path, ExperimentConfig.from_dict)
+
+
+    @pytest.mark.parametrize("doc, unknown", [
+        ({"prompt": {"count": 2}, "sed": 3}, "config keys ['sed']"),
+        ({"prompt": {"cout": 2}}, "prompt keys ['cout']"),
+        ({"llm": {"mock": True, "seed": 0, "sed": 1}}, "llm keys ['sed']"),
+        ({"llm": {"mock": False, "endpoint_url": "http://127.0.0.1:9/complete",
+                  "modle_id": "m", "retries": 1}}, "llm keys ['modle_id', 'retries']"),
+        ({"filter_rules": {"max_word": 5}}, "filter rule keys ['max_word']"),
+        ({"separators": [{"name": "a", "kind": "identity", "knd": 1}]},
+         "separator keys ['knd']"),
+        ({"separators": [{"name": "a", "kind": "identity"}],
+          "ensembles": {"e": {"members": ["a"], "weight": [1.0]}}},
+         "ensemble keys ['weight']"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, doc, unknown):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {unknown}")):
+            load_config(path, ExperimentConfig.from_dict)
+
+    def test_readme_example_config_loads(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        config = ExperimentConfig.from_dict(json.loads(example))
+        assert config.ensembles["pair"] == EnsembleDef(("identity", "oracle"), (0.5, 0.5))
+        assert config.provenance["optimizer"] == "Adam"
+
+    @pytest.mark.parametrize("changes", [
+        {"clamp_db": -5.0}, {"clamp_db": 0.0}, {"clamp_db": math.nan},
+        {"epsilon": -1.0}, {"epsilon": math.nan},
+    ])
+    def test_clamp_or_epsilon_that_corrupts_the_report_rejected(self, changes):
+        # a negative clamp turns every aggregate into that clamp
+        with pytest.raises(ConfigError, match="clamp_db must be > 0 and epsilon >= 0"):
+            ExperimentConfig(**changes)
 
 
 class TestRunAugmentation:
@@ -457,8 +546,8 @@ class TestRunEvaluation:
         assert not (tmp_path / "eval" / "estimates" / "identity" / "clip_001.wav").exists()
         assert (tmp_path / "eval" / "report.md").exists()
 
-    def test_only_ensemble_members_stay_in_memory(self, tmp_path, monkeypatch):
-        # "oracle" is in no ensemble, so its estimate can go once it is written
+    def test_no_estimate_outlives_its_clip(self, tmp_path, monkeypatch):
+        # "oracle" is an ensemble member, yet its estimate goes once its clip is done
         alive_max = 0
         oracle_estimates = []
         real_separate = harness.separate
@@ -475,10 +564,10 @@ class TestRunEvaluation:
         monkeypatch.setattr(harness, "separate", recording_separate)
         items = make_synthetic_eval_set(4, seed=7, duration_s=0.25)
         result = run_evaluation(_eval_config(
-            tmp_path, ensembles={"solo": EnsembleDef(members=("identity",))}), items)
+            tmp_path, ensembles={"pair": EnsembleDef(members=("identity", "oracle"))}), items)
         assert len(oracle_estimates) == 4
         assert alive_max == 1
-        assert len(result.separators["oracle"].per_clip) == 4
+        assert len(result.separators["pair"].per_clip) == 4
 
     def test_ensemble_wav_is_ensemble_of_member_wavs(self, tmp_path):
         items = make_synthetic_eval_set(3, seed=8, duration_s=0.25)
@@ -547,6 +636,26 @@ class TestRunEvaluation:
         assert max(running_at) == separation.EXTERNAL_PROCESS_BOUND == 2
         assert sum(e - s for s, e in intervals) > max(e for _, e in intervals) - starts[0]
 
+    def test_output_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # relative paths keep the config hash in report.md independent of tmp_path
+        monkeypatch.chdir(tmp_path)
+        Path("ext_identity.sh").write_text('exec cp -- "$1" "$3"\n')
+        external = SeparatorSpec(
+            kind="external", command_template="sh ext_identity.sh {MIXTURE} {CAPTION} {OUT}")
+        config = ExperimentConfig(
+            separators=[("identity", SeparatorSpec(kind="identity")),
+                        ("oracle_irm", SeparatorSpec(kind="oracle_irm")),
+                        ("external_identity", external)],
+            ensembles={"ens": EnsembleDef(members=("oracle_irm", "external_identity"),
+                                          weights=(0.5, 0.5))},
+            out_dir="eval")
+        run_evaluation(config, make_synthetic_eval_set(4, seed=12, duration_s=0.5,
+                                                       snr_db=None))
+        digests = {path.relative_to("eval").as_posix():
+                   hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in Path("eval").rglob("*") if path.is_file()}
+        assert digests == EVAL_DIGESTS
+
     def test_no_separators_rejected(self):
         with pytest.raises(ConfigError):
             run_evaluation(ExperimentConfig(separators=[]),
@@ -562,12 +671,24 @@ class TestRunEvaluation:
 class TestScoreClips:
     def test_scores_an_iterator_once_in_the_order_given(self):
         items = make_synthetic_eval_set(3, seed=11, duration_s=0.25)[::-1]
-        result, kept = harness.score_clips("identity", iter(items),
-                                           lambda item: item.mixture, 1e-8, keep=True)
-        assert [s.clip_id for s in result.per_clip] == ["clip_002", "clip_001", "clip_000"]
-        assert result.failed == []
-        assert all(kept[item.clip_id] is item.mixture for item in items)
-        assert abs(result.aggregate.sdri_db) <= 1e-7
+        seen = []
+
+        def later(item, estimates):
+            # the earlier estimator's estimate of this same clip, and nothing else
+            assert list(estimates) == ["identity"]
+            assert estimates["identity"] is item.mixture
+            seen.append(item.clip_id)
+            return estimates["identity"]
+
+        results = harness.score_clips(
+            iter(items), {"identity": lambda item, _: item.mixture, "later": later}, 1e-8)
+        order = ["clip_002", "clip_001", "clip_000"]
+        assert seen == order
+        assert list(results) == ["identity", "later"]
+        for result in results.values():
+            assert [s.clip_id for s in result.per_clip] == order
+            assert result.failed == []
+            assert abs(result.aggregate.sdri_db) <= 1e-7
 
 
 class TestSyntheticEvalSet:
