@@ -8,6 +8,7 @@ PCM16 is decoded by dividing by 32768 so that -32768 maps to exactly -1.0.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,11 +122,11 @@ def mix(target: Waveform, interference: Waveform, snr_db: float) -> MixResult:
     target_samples = target.samples
 
     rescale = 1.0
-    peak = float(np.max(np.abs(mixture)))
+    peak = max(float(mixture.max()), -float(mixture.min()))  # max |x|, without a copy
     if peak > PEAK_LIMIT:
         rescale = PEAK_LIMIT / peak
-        mixture = mixture * rescale
-        scaled_interference = scaled_interference * rescale
+        mixture *= rescale
+        scaled_interference *= rescale
         target_samples = target_samples * rescale
 
     rate = target.sample_rate
@@ -138,8 +139,56 @@ def mix(target: Waveform, interference: Waveform, snr_db: float) -> MixResult:
     )
 
 
+# Per-thread scratch arrays, one per name, each of the last shape asked for.
+# A fresh multi-megabyte temporary is handed back to the kernel when freed and
+# faulted in again by the next call; reusing these avoids that. One set per
+# thread, so concurrent separator threads never share an array.
+_scratch_arrays = threading.local()
+
+
+def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """This thread's reusable array ``name``, reallocated when the shape or dtype changes.
+
+    Its contents are whatever the last user left; it must not escape the call
+    that asked for it.
+    """
+    array = getattr(_scratch_arrays, name, None)
+    if array is None or array.shape != shape or array.dtype != dtype:
+        array = np.empty(shape, dtype)
+        setattr(_scratch_arrays, name, array)
+    return array
+
+
 def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _spectrum_shape(n_samples: int, params: StftParams) -> tuple[int, int]:
+    """(n_frames, bins) of the frame-major spectrum of ``n_samples`` samples."""
+    w, h = params.window_size, params.hop
+    if n_samples < w:
+        raise ValueError(f"signal shorter than the analysis window ({n_samples} < {w})")
+    # frames cover the signal padded by at least one window on each side
+    return -(-(n_samples + w) // h) + 1, w // 2 + 1
+
+
+def _stft_into(samples: np.ndarray, params: StftParams, out: np.ndarray) -> np.ndarray:
+    """Write the frame-major spectrum of ``samples`` into ``out`` and return it.
+
+    ``out`` has the shape :func:`_spectrum_shape` gives. The padded signal and
+    the windowed frames live in this thread's scratch arrays.
+    """
+    w, h = params.window_size, params.hop
+    n_frames = out.shape[0]
+    padded = _scratch("padded", (w + (n_frames - 1) * h,))
+    padded[:w] = 0.0
+    padded[w:w + samples.size] = samples
+    padded[w + samples.size:] = 0.0
+    frames = _scratch("frames", (n_frames, w))
+    # a contiguous copy multiplies faster than the strided view it is taken from
+    np.copyto(frames, np.lib.stride_tricks.sliding_window_view(padded, w)[::h])
+    frames *= _periodic_hann(w)
+    return np.fft.rfft(frames, axis=1, out=out)
 
 
 def stft(waveform: Waveform, params: StftParams | None = None) -> np.ndarray:
@@ -152,21 +201,8 @@ def stft(waveform: Waveform, params: StftParams | None = None) -> np.ndarray:
     it back without a copy.
     """
     params = params or StftParams()
-    w, h = params.window_size, params.hop
-    x = waveform.samples
-    if x.size < w:
-        raise ValueError(f"signal shorter than the analysis window ({x.size} < {w})")
-    total = x.size + 2 * w
-    rem = (total - w) % h
-    if rem:
-        total += h - rem
-    padded = np.zeros(total)
-    padded[w:w + x.size] = x
-
-    window = _periodic_hann(w)
-    n_frames = (total - w) // h + 1
-    frames = np.lib.stride_tricks.sliding_window_view(padded, w)[::h][:n_frames]
-    return np.fft.rfft(frames * window, axis=1).T
+    spectrum = np.empty(_spectrum_shape(waveform.samples.size, params), np.complex128)
+    return _stft_into(waveform.samples, params, spectrum).T
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -176,15 +212,31 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     (rows, hop) view of the output, so one slice-add per chunk k places every
     frame's chunk k at once. Chunks go in descending k, so each sample gets its
     frames in ascending frame order: the same additions in the same order as a
-    per-frame loop, hence the same bits.
+    per-frame loop, hence the same bits. The result is a view of this thread's
+    scratch array ``"overlap"``.
     """
     n_frames, w = frames.shape
     n_chunks = -(-w // hop)
-    out = np.zeros((n_frames + n_chunks - 1, hop))
+    out = _scratch("overlap", (n_frames + n_chunks - 1, hop))
+    out.fill(0.0)
     for k in reversed(range(n_chunks)):
         width = min(hop, w - k * hop)
         out[k:k + n_frames, :width] += frames[:, k * hop:k * hop + width]
     return out.reshape(-1)[:w + (n_frames - 1) * hop]
+
+
+def _synthesis_norm(window: np.ndarray, hop: int,
+                    n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(norm > 1e-12, max(norm, 1e-12))`` of the overlap-added squared window,
+    padding dropped; kept per thread for the last ``(window, hop, n_frames)``."""
+    key = (window.size, hop, n_frames)
+    cached = getattr(_scratch_arrays, "norm", None)
+    if cached is None or cached[0] != key:
+        norm = _overlap_add(np.broadcast_to(window ** 2, (n_frames, window.size)),
+                            hop)[window.size:]
+        cached = (key, norm > 1e-12, np.maximum(norm, 1e-12))
+        _scratch_arrays.norm = cached
+    return cached[1], cached[2]
 
 
 def istft(matrix: np.ndarray, params: StftParams | None = None,
@@ -194,30 +246,45 @@ def istft(matrix: np.ndarray, params: StftParams | None = None,
     w, h = params.window_size, params.hop
     if matrix.shape[0] != w // 2 + 1:
         raise ValueError("matrix bin count does not match window_size")
+    n_frames = matrix.shape[1]
     window = _periodic_hann(w)
-    frames = np.fft.irfft(matrix.T, n=w, axis=1)
+    # before the overlap-add below: a new norm is overlap-added in the same scratch array
+    valid, divisor = _synthesis_norm(window, h, n_frames)
+    frames = np.fft.irfft(matrix.T, n=w, axis=1, out=_scratch("frames", (n_frames, w)))
     frames *= window
 
     out = _overlap_add(frames, h)[w:]
-    norm = _overlap_add(np.broadcast_to(window ** 2, frames.shape), h)[w:]
     if length is not None:
-        out, norm = out[:length], norm[:length]
-    payload = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), 0.0)
-    return Waveform(payload, sample_rate)
+        out, valid, divisor = out[:length], valid[:length], divisor[:length]
+    return Waveform(np.where(valid, np.divide(out, divisor, out=out), 0.0), sample_rate)
 
 
 def tone_burst(freq_hz: float, duration_s: float, sample_rate: int,
                amplitude: float = 0.5, burst_period_s: float = 0.5,
                duty: float = 0.5) -> Waveform:
-    """Sine tone gated on/off with a rectangular burst envelope."""
+    """Sine tone gated on/off with a rectangular burst envelope.
+
+    The tone is on for the first ``duty`` of every ``burst_period_s``.
+    """
+    if not burst_period_s > 0:
+        raise ValueError("burst_period_s must be positive")
+    if not 0 < duty <= 1:
+        raise ValueError("duty must be in (0, 1]")
     n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
-    carrier = amplitude * np.sin(2.0 * np.pi * freq_hz * t)
-    envelope = ((t % burst_period_s) < burst_period_s * duty).astype(np.float64)
-    return Waveform(carrier * envelope, sample_rate)
+    t = np.arange(n, dtype=np.float64)  # the integers, exactly, without an int64 copy
+    t /= sample_rate
+    samples = np.multiply(2.0 * np.pi * freq_hz, t)
+    np.sin(samples, out=samples)
+    samples *= amplitude
+    # fmod equals % for t >= 0 and a positive period, at half the cost; multiplying
+    # by the boolean gate keeps the sign bit of each gated-off sample's zero
+    samples *= np.fmod(t, burst_period_s, out=t) < burst_period_s * duty
+    return Waveform(samples, sample_rate)
 
 
 def white_noise(duration_s: float, sample_rate: int, rng: np.random.Generator,
                 amplitude: float = 0.1) -> Waveform:
     n = int(round(duration_s * sample_rate))
-    return Waveform(amplitude * rng.standard_normal(n), sample_rate)
+    samples = rng.standard_normal(n)
+    samples *= amplitude
+    return Waveform(samples, sample_rate)

@@ -178,6 +178,8 @@ def cmd_separate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # an experiment config refuses a NaN or negative epsilon; so does this command
+    epsilon = ExperimentConfig(epsilon=args.epsilon).epsilon
     est_dir, ref_dir, mix_dir = Path(args.estimates), Path(args.references), Path(args.mixtures)
     names = sorted(p.name for p in est_dir.glob("*.wav"))
     if not names:
@@ -191,7 +193,7 @@ def cmd_eval(args) -> int:
         return EvalItem(Path(name).stem, read_wav(mix_path), read_wav(ref_path), caption="")
 
     estimators = {str(est_dir): lambda item, _: read_wav(est_dir / f"{item.clip_id}.wav")}
-    [result] = score_clips(map(load, names), estimators, args.epsilon).values()
+    [result] = score_clips(map(load, names), estimators, epsilon).values()
     write_per_clip_csv(Path(args.out), result.per_clip)
     if result.failed:
         print(f"failed clips: {' '.join(result.failed)}", file=sys.stderr)
@@ -207,10 +209,20 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
+REPORT_ROW_KEYS = ("model", "training_dataset", "caption_augmentation", "sdr", "sdri", "si_sdr")
+
+
+def _report_row(doc: dict) -> ReportRow:
+    unknown = sorted(set(doc) - set(REPORT_ROW_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown row keys {unknown}; known keys: {list(REPORT_ROW_KEYS)}")
+    return ReportRow.from_values(
+        doc["model"], doc.get("training_dataset", "-"), doc.get("caption_augmentation", "-"),
+        float(doc["sdr"]), float(doc["sdri"]), float(doc["si_sdr"]))
+
+
 def cmd_report(args) -> int:
-    rows = load_config(args.rows, lambda doc: [ReportRow.from_values(
-        r["model"], r.get("training_dataset", "-"), r.get("caption_augmentation", "-"),
-        float(r["sdr"]), float(r["sdri"]), float(r["si_sdr"])) for r in doc])
+    rows = load_config(args.rows, lambda doc: [_report_row(r) for r in doc])
     text = render_report(rows, fmt=args.format, config_hash=args.config_hash)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

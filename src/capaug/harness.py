@@ -24,7 +24,7 @@ from .audio import DEFAULT_SNR_RANGE_DB, Waveform, mix, tone_burst, white_noise,
 from .corpus import Manifest, merge_augmented_captions, read_manifest, write_manifest
 from .filtering import FilterRules, filter_captions, parse_numbered
 from .llm import LlmClient, LlmConfig, LlmError, MockLlmClient
-from .metrics import DEFAULT_CLAMP_DB, MetricsTriple, aggregate, compute_triple
+from .metrics import DEFAULT_CLAMP_DB, MetricsTriple, aggregate, scorer
 from .prompts import PromptKind, builtin_template, render
 from .reporting import ReportRow, render_report
 from .separation import (EXTERNAL_PROCESS_BOUND, KIND_EXTERNAL, ExternalSeparatorError,
@@ -419,9 +419,12 @@ def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLA
     ``estimates`` holds the estimates earlier names made of the same clip.
     ``items`` is any iterable of :class:`EvalItem`, read once. A clip whose
     estimate or score raises ``ExternalSeparatorError`` or ``ValueError`` is
-    listed in that name's ``failed``. With ``est_dir``, estimates are written
-    to ``est_dir/<name>/`` as soon as they are scored. A clip's estimates are
-    freed once it is done; ``workers`` > 0 runs that many clips at once.
+    listed in that name's ``failed``; a clip whose mixture cannot be scored
+    (for example a silent reference with ``epsilon=0``) is listed in every
+    name's, and no estimate of it is made. With ``est_dir``, estimates are
+    written to ``est_dir/<name>/`` as soon as they are scored. A clip's
+    estimates are freed once it is done; ``workers`` > 0 runs that many clips
+    at once.
     """
     results = {name: SeparatorResult(name=name) for name in estimators}
     if est_dir is not None:
@@ -432,11 +435,15 @@ def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLA
     # before the next clip's are made
     def step(item: EvalItem) -> tuple[str, dict[str, MetricsTriple]]:
         estimates, triples = {}, {}
+        try:
+            score = scorer(item.mixture, item.reference, epsilon)
+        except ValueError as exc:
+            logger.warning("clip %s cannot be scored: %s", item.clip_id, exc)
+            return item.clip_id, triples
         for name, estimate_of in estimators.items():
             try:
                 estimate = estimate_of(item, estimates)
-                triples[name] = compute_triple(estimate, item.mixture, item.reference,
-                                               epsilon)
+                triples[name] = score(estimate)
             except (ExternalSeparatorError, ValueError) as exc:
                 logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
                 continue

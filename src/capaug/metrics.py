@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -119,17 +119,31 @@ def si_sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
     return _si_sdr(est, ref, _energy(ref), epsilon)
 
 
+def scorer(mixture: Signal, reference: Signal,
+           epsilon: float = 0.0) -> Callable[[Signal], MetricsTriple]:
+    """``score(estimate)``: the :func:`compute_triple` of an estimate of one clip.
+
+    The reference energy and the unprocessed mixture's SDR depend only on the
+    clip, so they are computed here, once; each ``score`` call adds the
+    estimate's SDR and SI-SDR. Raises ``ValueError`` here when the mixture
+    cannot be scored (misaligned, or a silent reference with ``epsilon=0``).
+    """
+    mix, ref = _check_aligned(mixture, reference)
+    ref_energy = _energy(ref)
+    mixture_sdr = _sdr(mix, ref, ref_energy, epsilon)
+
+    def score(estimate: Signal) -> MetricsTriple:
+        est = _check_aligned(estimate, mixture, reference)[0]
+        sdr_db = _sdr(est, ref, ref_energy, epsilon)
+        return MetricsTriple(sdr_db=sdr_db, sdri_db=sdr_db - mixture_sdr,
+                             si_sdr_db=_si_sdr(est, ref, ref_energy, epsilon))
+    return score
+
+
 def compute_triple(estimate: Signal, mixture: Signal, reference: Signal,
                    epsilon: float = 0.0) -> MetricsTriple:
     """SDR, SDRi and SI-SDR of one estimate, equal to the three separate calls."""
-    est, mix, ref = _check_aligned(estimate, mixture, reference)
-    ref_energy = _energy(ref)
-    sdr_db = _sdr(est, ref, ref_energy, epsilon)
-    return MetricsTriple(
-        sdr_db=sdr_db,
-        sdri_db=sdr_db - _sdr(mix, ref, ref_energy, epsilon),
-        si_sdr_db=_si_sdr(est, ref, ref_energy, epsilon),
-    )
+    return scorer(mixture, reference, epsilon)(estimate)
 
 
 def aggregate(triples: list[MetricsTriple],

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import StftParams, Waveform, istft, read_wav, stft, write_wav
+from .audio import (StftParams, Waveform, _scratch, _spectrum_shape, _stft_into, istft,
+                    read_wav, stft, write_wav)
 
 logger = logging.getLogger(__name__)
 
@@ -79,9 +80,23 @@ class SeparatorSpec:
 
 def _oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,
                 params: StftParams) -> Waveform:
-    mask = irm_mask(target, interference, params)
-    masked = mask * stft(mixture, params)
-    return istft(masked, params, length=len(mixture), sample_rate=mixture.sample_rate)
+    """``irm_mask(target, interference) * stft(mixture)``, resynthesised.
+
+    The same operations in the same order, hence the same bits, but the three
+    spectra pass through one scratch spectrum and the mask is built in place.
+    """
+    shape = _spectrum_shape(len(mixture), params)
+    spectrum = _scratch("spectrum", shape, np.complex128)
+    mask, power_i = _scratch("mask", shape), _scratch("power", shape)
+    np.abs(_stft_into(target.samples, params, spectrum), out=mask)
+    np.square(mask, out=mask)
+    np.abs(_stft_into(interference.samples, params, spectrum), out=power_i)
+    np.square(power_i, out=power_i)
+    np.add(mask, power_i, out=power_i)
+    np.add(power_i, MASK_EPS, out=power_i)
+    np.divide(mask, power_i, out=mask)
+    masked = np.multiply(mask, _stft_into(mixture.samples, params, spectrum), out=spectrum)
+    return istft(masked.T, params, length=len(mixture), sample_rate=mixture.sample_rate)
 
 
 def irm_mask(target: Waveform, interference: Waveform,

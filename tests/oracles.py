@@ -109,3 +109,38 @@ def istft_brute(matrix, window_size, hop, length=None):
     out = np.where(norm > 1e-12, out / np.maximum(norm, 1e-12), 0.0)
     payload = out[window_size:]
     return payload if length is None else payload[:length]
+
+
+def stft_reference(samples, window_size, hop):
+    """The STFT as one expression per step, every intermediate freshly allocated:
+    pad by a window on each side (and to whole frames), window the frames,
+    rfft. Returns the (bins, frames) transposed view, as the library does."""
+    x = np.asarray(samples, dtype=np.float64)
+    total = x.size + 2 * window_size
+    rem = (total - window_size) % hop
+    if rem:
+        total += hop - rem
+    padded = np.zeros(total)
+    padded[window_size:window_size + x.size] = x
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+    n_frames = (total - window_size) // hop + 1
+    frames = np.lib.stride_tricks.sliding_window_view(padded, window_size)[::hop][:n_frames]
+    return np.fft.rfft(frames * window, axis=1).T
+
+
+def oracle_irm_reference(mixture, target, interference, window_size, hop):
+    """Ideal-ratio-mask separation written out: |S_t|^2 / (|S_t|^2 + |S_i|^2 + 1e-12)
+    times the mixture's STFT, resynthesised by :func:`istft_brute`."""
+    p_t = np.abs(stft_reference(target, window_size, hop)) ** 2
+    p_i = np.abs(stft_reference(interference, window_size, hop)) ** 2
+    mask = p_t / (p_t + p_i + 1e-12)
+    masked = mask * stft_reference(mixture, window_size, hop)
+    return istft_brute(masked, window_size, hop, len(mixture))
+
+
+def tone_burst_reference(freq_hz, duration_s, sample_rate, amplitude, burst_period_s, duty):
+    """A sine tone times a 0/1 float envelope that is on while
+    ``t % burst_period_s < burst_period_s * duty``."""
+    t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
+    carrier = amplitude * np.sin(2.0 * np.pi * freq_hz * t)
+    return carrier * ((t % burst_period_s) < burst_period_s * duty).astype(np.float64)

@@ -8,7 +8,7 @@ from scipy.io import wavfile
 
 from capaug.audio import (StftParams, Waveform, WavFormatError, istft, mix, read_wav,
                           stft, tone_burst, white_noise, write_wav)
-from oracles import istft_brute, mix_gain_brute
+from oracles import istft_brute, mix_gain_brute, stft_reference, tone_burst_reference
 
 # (window, hop) pairs: hops dividing the window, hops equal to it, and a hop
 # that does not divide it
@@ -242,6 +242,24 @@ class TestStft:
         y = istft(matrix, params, length=len(x), sample_rate=x.sample_rate)
         assert np.array_equal(y.samples, istft_brute(matrix, window, hop, len(x)))
 
+    @pytest.mark.parametrize("window, hop", ISTFT_GRID)
+    def test_stft_and_istft_bits_unchanged_as_shapes_change(self, window, hop):
+        # consecutive calls on one thread change the frame count, so a scratch
+        # array kept from the previous shape would show here
+        params = StftParams(window_size=window, hop=hop)
+        for seed, n in enumerate((window * 3 + 7, 16000, window * 5, window, 16000)):
+            x = _rand_wave(n, seed)
+            matrix = stft(x, params)
+            assert np.array_equal(matrix, stft_reference(x.samples, window, hop))
+            assert np.array_equal(istft(matrix, params, length=n).samples,
+                                  istft_brute(matrix, window, hop, n))
+
+    def test_stft_results_do_not_share_memory(self):
+        a = stft(_rand_wave(4096, 3))
+        b = stft(_rand_wave(4096, 4))
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, stft_reference(_rand_wave(4096, 3).samples, 1024, 256))
+
     def test_stft_is_a_transposed_view(self):
         matrix = stft(_rand_wave(4096, 2))
         assert not matrix.flags.c_contiguous
@@ -254,6 +272,29 @@ class TestGenerators:
         assert len(wave) == 16000
         assert wave.sample_rate == 16000
         assert wave.energy() > 0
+
+    def test_tone_burst_bits_match_the_formula(self):
+        # sign bits included: a gated-off sample is the carrier times 0.0
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            args = (float(rng.uniform(50, 5000)), float(rng.uniform(0.1, 1.0)), 16000,
+                    float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.01, 1.0)),
+                    float(rng.uniform(0.05, 1.0)))
+            expected = tone_burst_reference(*args)
+            assert tone_burst(*args).samples.tobytes() == expected.tobytes()
+        assert np.signbit(tone_burst(440.0, 1.0, 16000).samples).any()
+
+    @pytest.mark.parametrize("bad", [{"burst_period_s": 0.0}, {"burst_period_s": -0.5},
+                                     {"burst_period_s": math.nan}, {"duty": 0.0},
+                                     {"duty": -0.2}, {"duty": 1.5}, {"duty": math.nan}])
+    def test_tone_burst_rejects_bad_gate(self, bad):
+        with pytest.raises(ValueError):
+            tone_burst(440.0, 0.5, 16000, **bad)
+
+    def test_tone_burst_full_duty_is_ungated(self):
+        wave = tone_burst(440.0, 0.5, 16000, duty=1.0)
+        t = np.arange(8000) / 16000
+        assert np.array_equal(wave.samples, 0.5 * np.sin(2.0 * np.pi * 440.0 * t))
 
     def test_white_noise_deterministic_per_rng(self):
         a = white_noise(0.5, 16000, np.random.default_rng(0))

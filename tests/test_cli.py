@@ -335,6 +335,19 @@ class TestSignalCommands:
         assert [line.split(",")[0] for line in lines[1:]] == ["clip_000", "clip_002"]
         assert "clip_001" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "-1"])
+    def test_eval_refuses_nan_or_negative_epsilon(self, tmp_path, epsilon, capsys):
+        dirs = [tmp_path / name for name in ("est", "ref", "mix")]
+        item = make_synthetic_eval_set(1, seed=0, duration_s=0.25)[0]
+        for d, wave in zip(dirs, (item.mixture, item.reference, item.mixture)):
+            d.mkdir()
+            write_wav(d / "c.wav", wave)
+        out = tmp_path / "m.csv"
+        assert run_cli("eval", "--estimates", dirs[0], "--references", dirs[1],
+                       "--mixtures", dirs[2], "--out", out, "--epsilon", epsilon) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_missing_reference_is_error(self, tmp_path):
         est_dir, ref_dir, mix_dir = (tmp_path / "est", tmp_path / "ref", tmp_path / "mix")
         for d in (est_dir, ref_dir, mix_dir):
@@ -361,3 +374,13 @@ class TestReport:
         out = tmp_path / "report.csv"
         assert run_cli("report", "--rows", rows, "--format", "csv", "--out", out) == 0
         assert "0.000,0.000,0.000" in out.read_text()
+
+    def test_unknown_row_key_is_config_error(self, tmp_path, capsys):
+        rows = tmp_path / "rows.json"
+        rows.write_text(json.dumps([
+            {"model": "m", "trainng_dataset": "Clotho", "sdr": 0.0, "sdri": 0.0,
+             "si_sdr": 0.0}]))
+        out = tmp_path / "report.md"
+        assert run_cli("report", "--rows", rows, "--out", out) == 2
+        assert "trainng_dataset" in capsys.readouterr().err
+        assert not out.exists()

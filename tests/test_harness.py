@@ -691,6 +691,24 @@ class TestScoreClips:
             assert abs(result.aggregate.sdri_db) <= 1e-7
 
 
+    def test_unscorable_clip_fails_every_estimator_without_estimating(self):
+        items = _with_silent_reference(make_synthetic_eval_set(3, seed=6, duration_s=0.25))
+        calls = []
+
+        def estimator(name):
+            def estimate_of(item, _estimates):
+                calls.append((name, item.clip_id))
+                return item.mixture
+            return estimate_of
+
+        results = harness.score_clips(items, {n: estimator(n) for n in ("a", "b", "c")}, 0.0)
+        for result in results.values():
+            assert result.failed == ["clip_001"]
+            assert [s.clip_id for s in result.per_clip] == ["clip_000", "clip_002"]
+        assert [c for _, c in calls].count("clip_001") == 0
+        assert len(calls) == 6
+
+
 class TestSyntheticEvalSet:
     def test_deterministic(self):
         a = make_synthetic_eval_set(3, seed=0, duration_s=0.25)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from capaug.audio import Waveform
-from capaug.metrics import MetricsTriple, aggregate, compute_triple, sdr, sdri, si_sdr
+from capaug.metrics import (MetricsTriple, aggregate, compute_triple, scorer, sdr, sdri,
+                            si_sdr)
 from oracles import clamp_mean_brute, sdr_brute, sdri_brute, si_sdr_brute
 
 
@@ -205,6 +206,26 @@ def test_compute_triple_equals_separate_calls_exactly():
             assert triple.sdr_db == sdr(estimate, ref, eps)
             assert triple.sdri_db == sdri(estimate, mixture, ref, eps)
             assert triple.si_sdr_db == si_sdr(estimate, ref, eps)
+
+
+def test_scorer_scores_many_estimates_of_one_clip_exactly():
+    rng = np.random.default_rng(13)
+    ref = rng.standard_normal(4096)
+    mixture = ref + rng.standard_normal(4096)
+    score = scorer(mixture, ref, 1e-8)
+    for estimate in (mixture, ref + 0.2 * rng.standard_normal(4096), ref, -mixture):
+        assert score(estimate) == MetricsTriple(sdr(estimate, ref, 1e-8),
+                                                sdri(estimate, mixture, ref, 1e-8),
+                                                si_sdr(estimate, ref, 1e-8))
+    with pytest.raises(ValueError, match="length mismatch"):
+        score(ref[:100])
+
+
+def test_scorer_refuses_an_unscorable_clip_up_front():
+    with pytest.raises(ValueError, match="zero-energy"):
+        scorer([0.5, 0.5, -0.5], [0.0, 0.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="length mismatch"):
+        scorer([0.5, 0.5], [0.1, 0.2, 0.3])
 
 
 def test_scoring_never_calls_blas_dot(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from capaug.harness import load_config
 from capaug.metrics import sdr
 from capaug.separation import (ExternalSeparatorError, SeparatorSpec, ensemble, irm_mask,
                                separate)
+from oracles import oracle_irm_reference
 
 # first run of the seeded tone+noise fixture below observed 21.3 dB oracle SDR
 # (identity: 0 dB); asserted with headroom so numeric drift cannot flake it
@@ -82,6 +84,37 @@ class TestOracleIrm:
         with pytest.raises(ValueError, match="align"):
             separate(SeparatorSpec(kind="oracle_irm"), mixed.mixture, "a tone",
                      oracle_sources=(short, mixed.interference))
+
+    @pytest.mark.parametrize("window, hop", [(1024, 256), (512, 100), (256, 256)])
+    def test_bits_unchanged(self, window, hop):
+        spec = SeparatorSpec(kind="oracle_irm", stft_params=StftParams(window, hop))
+        for seed, n in enumerate((window * 3 + 7, 16000, window * 5, 16000)):
+            rng = np.random.default_rng(seed)
+            mixture, target, interference = (Waveform(rng.standard_normal(n), 16000)
+                                             for _ in range(3))
+            estimate = separate(spec, mixture, "", (target, interference))
+            assert np.array_equal(estimate.samples, oracle_irm_reference(
+                mixture.samples, target.samples, interference.samples, window, hop))
+
+    def test_two_threads_give_the_serial_bits(self):
+        # each thread has its own scratch arrays; shared ones would mix clips
+        spec = SeparatorSpec(kind="oracle_irm")
+        clips = [_tone_noise_mixture(seed=seed, duration_s=duration)
+                 for seed, duration in enumerate([1.0, 0.5, 1.0, 0.75] * 3)]
+
+        def run(mixed):
+            return separate(spec, mixed.mixture, "", (mixed.target, mixed.interference))
+
+        serial = [run(mixed).samples for mixed in clips]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(run, clips * 2))
+        finally:
+            sys.setswitchinterval(old_interval)
+        for expected, got in zip(serial * 2, threaded):
+            assert np.array_equal(got.samples, expected)
 
     def test_output_matches_mixture_length_and_rate(self):
         mixed = _tone_noise_mixture(seed=3)
