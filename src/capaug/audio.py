@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,8 +143,12 @@ def mix(target: Waveform, interference: Waveform, snr_db: float) -> MixResult:
 # Per-thread scratch arrays, one per name, each of the last shape asked for.
 # A fresh multi-megabyte temporary is handed back to the kernel when freed and
 # faulted in again by the next call; reusing these avoids that. One set per
-# thread, so concurrent separator threads never share an array.
+# thread, so concurrent separator threads never share an array. Only arrays of
+# at most _SCRATCH_MAX_BYTES are kept (at the default STFT, the frames of a
+# clip up to about 30 s at 16 kHz): a larger one is freed with its call, so a
+# long-lived thread does not hold several times a long clip's size after it.
 _scratch_arrays = threading.local()
+_SCRATCH_MAX_BYTES = 1 << 24
 
 
 def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -155,7 +160,8 @@ def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     array = getattr(_scratch_arrays, name, None)
     if array is None or array.shape != shape or array.dtype != dtype:
         array = np.empty(shape, dtype)
-        setattr(_scratch_arrays, name, array)
+        if array.nbytes <= _SCRATCH_MAX_BYTES:
+            setattr(_scratch_arrays, name, array)
     return array
 
 
@@ -228,14 +234,16 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 def _synthesis_norm(window: np.ndarray, hop: int,
                     n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """``(norm > 1e-12, max(norm, 1e-12))`` of the overlap-added squared window,
-    padding dropped; kept per thread for the last ``(window, hop, n_frames)``."""
+    padding dropped; kept per thread for the last ``(window, hop, n_frames)``,
+    within the scratch size limit."""
     key = (window.size, hop, n_frames)
     cached = getattr(_scratch_arrays, "norm", None)
     if cached is None or cached[0] != key:
         norm = _overlap_add(np.broadcast_to(window ** 2, (n_frames, window.size)),
                             hop)[window.size:]
         cached = (key, norm > 1e-12, np.maximum(norm, 1e-12))
-        _scratch_arrays.norm = cached
+        if cached[2].nbytes <= _SCRATCH_MAX_BYTES:
+            _scratch_arrays.norm = cached
     return cached[1], cached[2]
 
 
@@ -257,6 +265,27 @@ def istft(matrix: np.ndarray, params: StftParams | None = None,
     if length is not None:
         out, valid, divisor = out[:length], valid[:length], divisor[:length]
     return Waveform(np.where(valid, np.divide(out, divisor, out=out), 0.0), sample_rate)
+
+
+def resynthesize_masked(mixture: Waveform, sources: tuple[Waveform, Waveform],
+                        mask_in_place: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        params: StftParams) -> Waveform:
+    """``istft(mask * stft(mixture))`` with ``mask = mask_in_place(p_0, p_1)``.
+
+    ``p_k`` is ``|stft(sources[k])|**2``, frame-major; ``mask_in_place`` may
+    overwrite either and must return the mask in one of them. The three
+    spectra pass through one of this thread's scratch arrays and the two power
+    spectra live in two more, so nothing here is allocated per call.
+    """
+    shape = _spectrum_shape(len(mixture), params)
+    spectrum = _scratch("spectrum", shape, np.complex128)
+    powers = _scratch("power_0", shape), _scratch("power_1", shape)
+    for source, power in zip(sources, powers):
+        np.abs(_stft_into(source.samples, params, spectrum), out=power)
+        np.square(power, out=power)
+    mask = mask_in_place(*powers)
+    masked = np.multiply(mask, _stft_into(mixture.samples, params, spectrum), out=spectrum)
+    return istft(masked.T, params, length=len(mixture), sample_rate=mixture.sample_rate)
 
 
 def tone_burst(freq_hz: float, duration_s: float, sample_rate: int,

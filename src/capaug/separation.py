@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import (StftParams, Waveform, _scratch, _spectrum_shape, _stft_into, istft,
-                    read_wav, stft, write_wav)
+from .audio import (StftParams, Waveform, read_wav, resynthesize_masked, stft,
+                    write_wav)
 
 logger = logging.getLogger(__name__)
 
@@ -78,34 +78,20 @@ class SeparatorSpec:
                    timeout_s=doc.get("timeout_s", DEFAULT_EXTERNAL_TIMEOUT_S))
 
 
-def _oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,
-                params: StftParams) -> Waveform:
-    """``irm_mask(target, interference) * stft(mixture)``, resynthesised.
-
-    The same operations in the same order, hence the same bits, but the three
-    spectra pass through one scratch spectrum and the mask is built in place.
-    """
-    shape = _spectrum_shape(len(mixture), params)
-    spectrum = _scratch("spectrum", shape, np.complex128)
-    mask, power_i = _scratch("mask", shape), _scratch("power", shape)
-    np.abs(_stft_into(target.samples, params, spectrum), out=mask)
-    np.square(mask, out=mask)
-    np.abs(_stft_into(interference.samples, params, spectrum), out=power_i)
-    np.square(power_i, out=power_i)
-    np.add(mask, power_i, out=power_i)
-    np.add(power_i, MASK_EPS, out=power_i)
-    np.divide(mask, power_i, out=mask)
-    masked = np.multiply(mask, _stft_into(mixture.samples, params, spectrum), out=spectrum)
-    return istft(masked.T, params, length=len(mixture), sample_rate=mixture.sample_rate)
+def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
+    """|S_t|^2 / (|S_t|^2 + |S_i|^2 + eps) from the two power spectra, written
+    over ``p_t`` (``p_i`` is overwritten too)."""
+    np.add(p_t, p_i, out=p_i)
+    np.add(p_i, MASK_EPS, out=p_i)
+    return np.divide(p_t, p_i, out=p_t)
 
 
 def irm_mask(target: Waveform, interference: Waveform,
              params: StftParams | None = None) -> np.ndarray:
     """Ideal ratio mask |S_t|^2 / (|S_t|^2 + |S_i|^2 + eps), values in [0, 1]."""
     params = params or StftParams()
-    p_t = np.abs(stft(target, params)) ** 2
-    p_i = np.abs(stft(interference, params)) ** 2
-    return p_t / (p_t + p_i + MASK_EPS)
+    return _irm_in_place(np.abs(stft(target, params)) ** 2,
+                         np.abs(stft(interference, params)) ** 2)
 
 
 def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Waveform:
@@ -161,7 +147,8 @@ def separate(spec: SeparatorSpec, mixture: Waveform, caption: str,
         for stem in (target, interference):
             if len(stem) != len(mixture) or stem.sample_rate != mixture.sample_rate:
                 raise ValueError("oracle sources must align with the mixture")
-        return _oracle_irm(mixture, target, interference, spec.stft_params)
+        return resynthesize_masked(mixture, (target, interference), _irm_in_place,
+                                   spec.stft_params)
     return _run_external(spec, mixture, caption)
 
 

@@ -128,12 +128,17 @@ def stft_reference(samples, window_size, hop):
     return np.fft.rfft(frames * window, axis=1).T
 
 
-def oracle_irm_reference(mixture, target, interference, window_size, hop):
-    """Ideal-ratio-mask separation written out: |S_t|^2 / (|S_t|^2 + |S_i|^2 + 1e-12)
-    times the mixture's STFT, resynthesised by :func:`istft_brute`."""
+def irm_mask_reference(target, interference, window_size, hop):
+    """The ideal ratio mask written out: |S_t|^2 / (|S_t|^2 + |S_i|^2 + 1e-12)."""
     p_t = np.abs(stft_reference(target, window_size, hop)) ** 2
     p_i = np.abs(stft_reference(interference, window_size, hop)) ** 2
-    mask = p_t / (p_t + p_i + 1e-12)
+    return p_t / (p_t + p_i + 1e-12)
+
+
+def oracle_irm_reference(mixture, target, interference, window_size, hop):
+    """Ideal-ratio-mask separation written out: :func:`irm_mask_reference` times
+    the mixture's STFT, resynthesised by :func:`istft_brute`."""
+    mask = irm_mask_reference(target, interference, window_size, hop)
     masked = mask * stft_reference(mixture, window_size, hop)
     return istft_brute(masked, window_size, hop, len(mixture))
 

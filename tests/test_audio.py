@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from capaug import audio
 from capaug.audio import (StftParams, Waveform, WavFormatError, istft, mix, read_wav,
                           stft, tone_burst, white_noise, write_wav)
 from oracles import istft_brute, mix_gain_brute, stft_reference, tone_burst_reference
@@ -253,6 +255,27 @@ class TestStft:
             assert np.array_equal(matrix, stft_reference(x.samples, window, hop))
             assert np.array_equal(istft(matrix, params, length=n).samples,
                                   istft_brute(matrix, window, hop, n))
+
+    def test_scratch_above_the_size_limit_is_not_kept(self, monkeypatch):
+        # at (256, 64) every intermediate of a 1,000-sample clip fits in 64 KiB
+        # and none of a 16,000-sample clip's does
+        monkeypatch.setattr(audio, "_SCRATCH_MAX_BYTES", 64 * 1024)
+        params = StftParams(window_size=256, hop=64)
+
+        def kept_after(n):
+            def run():
+                x = _rand_wave(n, n)
+                matrix = stft(x, params)
+                assert np.array_equal(matrix, stft_reference(x.samples, 256, 64))
+                assert np.array_equal(istft(matrix, params, length=n).samples,
+                                      istft_brute(matrix, 256, 64, n))
+                return dict(vars(audio._scratch_arrays))
+            # a fresh thread starts with no scratch arrays
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                return pool.submit(run).result()
+
+        assert set(kept_after(1000)) == {"padded", "frames", "overlap", "norm"}
+        assert kept_after(16000) == {}
 
     def test_stft_results_do_not_share_memory(self):
         a = stft(_rand_wave(4096, 3))

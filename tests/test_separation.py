@@ -6,12 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from capaug import audio
 from capaug.audio import StftParams, Waveform, mix, read_wav, tone_burst, white_noise, write_wav
 from capaug.harness import load_config
 from capaug.metrics import sdr
 from capaug.separation import (ExternalSeparatorError, SeparatorSpec, ensemble, irm_mask,
                                separate)
-from oracles import oracle_irm_reference
+from oracles import irm_mask_reference, oracle_irm_reference
 
 # first run of the seeded tone+noise fixture below observed 21.3 dB oracle SDR
 # (identity: 0 dB); asserted with headroom so numeric drift cannot flake it
@@ -95,6 +96,27 @@ class TestOracleIrm:
             estimate = separate(spec, mixture, "", (target, interference))
             assert np.array_equal(estimate.samples, oracle_irm_reference(
                 mixture.samples, target.samples, interference.samples, window, hop))
+
+    def test_irm_mask_bits_match_the_formula(self):
+        mixed = _tone_noise_mixture(seed=4)
+        assert np.array_equal(irm_mask(mixed.target, mixed.interference), irm_mask_reference(
+            mixed.target.samples, mixed.interference.samples, 1024, 256))
+
+    def test_bits_unchanged_when_no_scratch_is_kept(self, monkeypatch):
+        # with a size limit of 0 every intermediate is a fresh array, freed with its call
+        monkeypatch.setattr(audio, "_SCRATCH_MAX_BYTES", 0)
+        mixed = _tone_noise_mixture(seed=5)
+
+        def run():
+            estimate = separate(SeparatorSpec(kind="oracle_irm"), mixed.mixture, "",
+                                (mixed.target, mixed.interference))
+            return estimate, dict(vars(audio._scratch_arrays))
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            estimate, kept = pool.submit(run).result()
+        assert kept == {}
+        assert np.array_equal(estimate.samples, oracle_irm_reference(
+            mixed.mixture.samples, mixed.target.samples, mixed.interference.samples, 1024, 256))
 
     def test_two_threads_give_the_serial_bits(self):
         # each thread has its own scratch arrays; shared ones would mix clips
