@@ -8,12 +8,12 @@ PCM16 is decoded by dividing by 32768 so that -32768 maps to exactly -1.0.
 from __future__ import annotations
 
 import math
+import struct
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
 
 PEAK_LIMIT = 0.99
 DEFAULT_SNR_RANGE_DB = (-10.0, 10.0)
@@ -64,32 +64,88 @@ class StftParams:
             raise ValueError("hop must be in (0, window_size]")
 
 
+_FORMAT_PCM = 0x0001
+_FORMAT_FLOAT = 0x0003
+_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 2-15 of the KSDATAFORMAT_SUBTYPE GUID; bytes 0-1 hold the format tag
+_SUBFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_DTYPES = {(_FORMAT_PCM, 16): np.dtype("<i2"), (_FORMAT_FLOAT, 32): np.dtype("<f4")}
+
+
 def read_wav(path) -> Waveform:
-    """Read a mono PCM16 or float32 WAV file."""
+    """Read a mono PCM16 or float32 WAV file, plain or WAVE_FORMAT_EXTENSIBLE.
+
+    Chunks other than ``fmt `` and ``data`` are skipped, with their pad byte
+    when odd-sized. Anything else (RIFX, RF64, other sample widths, several
+    channels, no ``data`` chunk, a ``data`` chunk shorter than it declares)
+    raises :class:`WavFormatError`.
+    """
     try:
-        rate, data = wavfile.read(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
         raise WavFormatError(f"cannot read WAV file {path}: {exc}") from exc
-    if data.ndim != 1:
-        raise WavFormatError(f"{path}: non-mono file ({data.shape[1]} channels)")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise WavFormatError(f"{path}: unsupported sample encoding {data.dtype}")
-    return Waveform(samples=samples, sample_rate=int(rate))
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file (starts {raw[:4]!r})")
+    fmt, pos = None, 12
+    while True:
+        if pos + 8 > len(raw):
+            raise WavFormatError(f"{path}: no data chunk")
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        pos += 8
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            fmt = raw[pos:pos + size]
+        pos += size + (size & 1)
+    if fmt is None or len(fmt) < 16:
+        raise WavFormatError(f"{path}: missing or short fmt chunk before the data chunk")
+    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _FORMAT_EXTENSIBLE:
+        if len(fmt) < 40 or fmt[26:40] != _SUBFORMAT_TAIL:
+            raise WavFormatError(f"{path}: unknown WAVE_FORMAT_EXTENSIBLE subformat")
+        tag = struct.unpack_from("<H", fmt, 24)[0]
+    if channels != 1:
+        raise WavFormatError(f"{path}: non-mono file ({channels} channels)")
+    dtype = _SAMPLE_DTYPES.get((tag, bits))
+    if dtype is None:
+        raise WavFormatError(f"{path}: unsupported sample encoding "
+                             f"(format tag {tag:#06x}, {bits} bits)")
+    if pos + size > len(raw):
+        raise WavFormatError(f"{path}: data chunk declares {size} bytes, "
+                             f"holds {len(raw) - pos}")
+    samples = np.frombuffer(raw, dtype, count=size // dtype.itemsize,
+                            offset=pos).astype(np.float64)
+    if tag == _FORMAT_PCM:
+        samples /= 32768.0
+    return Waveform(samples=samples, sample_rate=rate)
 
 
 def write_wav(path, waveform: Waveform, encoding: str = "float32") -> None:
-    """Write a waveform as PCM16 or float32. Float32 round-trips losslessly."""
+    """Write a waveform as PCM16 or float32. Float32 round-trips losslessly.
+
+    The bytes are those ``scipy.io.wavfile.write`` writes: a 44-byte header
+    for PCM16, and for float32 a 58-byte one whose ``fmt `` chunk carries a
+    zero cbSize and is followed by a ``fact`` chunk. An odd-sized ``data``
+    chunk gets no pad byte.
+    """
+    rate = waveform.sample_rate
     if encoding == "float32":
-        data = waveform.samples.astype(np.float32)
+        data = waveform.samples.astype("<f4")
+        fmt = struct.pack("<HHIIHHH", _FORMAT_FLOAT, 1, rate, 4 * rate, 4, 32, 0)
+        fact = struct.pack("<4sII", b"fact", 4, data.size)
     elif encoding == "pcm16":
-        data = np.clip(np.round(waveform.samples * 32768.0), -32768, 32767).astype(np.int16)
+        data = np.clip(np.round(waveform.samples * 32768.0), -32768, 32767).astype("<i2")
+        fmt = struct.pack("<HHIIHH", _FORMAT_PCM, 1, rate, 2 * rate, 2, 16)
+        fact = b""
     else:
         raise ValueError(f"unsupported encoding {encoding!r}")
-    wavfile.write(path, waveform.sample_rate, data)
+    riff_size = 4 + 8 + len(fmt) + len(fact) + 8 + data.nbytes  # struct refuses > 4 GiB
+    header = (struct.pack("<4sI4s4sI", b"RIFF", riff_size, b"WAVE", b"fmt ", len(fmt))
+              + fmt + fact + struct.pack("<4sI", b"data", data.nbytes))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data.data)
 
 
 @dataclass

@@ -174,10 +174,15 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def build_complete_fn(config: ExperimentConfig):
+def build_client(config: ExperimentConfig) -> LlmClient | MockLlmClient:
+    """The completion client ``config`` names; its owner closes it."""
     if config.use_mock_llm:
-        return MockLlmClient(config.mock_seed).complete
-    return LlmClient(config.llm).complete
+        return MockLlmClient(config.mock_seed)
+    return LlmClient(config.llm)
+
+
+def build_complete_fn(config: ExperimentConfig):
+    return build_client(config).complete
 
 
 @dataclass
@@ -315,8 +320,10 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
         if not config.manifest_path:
             raise ConfigError("no manifest given and no manifest path configured")
         manifest = read_manifest(config.manifest_path)
+    client = None
     if complete_fn is None:
-        complete_fn = build_complete_fn(config)
+        client = build_client(config)
+        complete_fn = client.complete
     template = builtin_template(config.prompt_kind)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
@@ -332,7 +339,11 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
 
     clips = sorted(manifest.entries, key=lambda e: e.clip_id)
     workers = 0 if config.use_mock_llm else config.llm.max_concurrent_requests
-    outcomes = _map_in_order(augment, clips, workers)
+    try:
+        outcomes = _map_in_order(augment, clips, workers)
+    finally:
+        if client is not None:
+            client.close()
     stats = AugmentationStats(per_clip={s.clip_id: s for _, s in outcomes})
 
     failures = stats.gateway_failures()

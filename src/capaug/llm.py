@@ -4,20 +4,26 @@ The wire contract is a single POST with JSON body
 ``{"model", "prompt", "temperature", "max_tokens"}`` answered by ``{"text"}``,
 which adapts to any local completion server through a thin shim. Credentials
 are only ever read from an environment variable named in the config, never
-stored in config files.
+stored in config files. The client speaks HTTP/1.1 through ``http.client``
+directly: no proxy, no redirects, and HTTPS verified against the system CA
+store.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import logging
+import math
 import os
 import random
+import selectors
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
-
-import requests
+from functools import partial
 
 logger = logging.getLogger(__name__)
 
@@ -66,12 +72,13 @@ class LlmConfig:
     api_key_env: str | None = None
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+        # NaN passes a plain comparison, and a non-finite float cannot go into the JSON body
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError("timeout must be positive and finite")
         if self.max_concurrent_requests < 1:
             raise ValueError("max_concurrent_requests must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.max_retries < 0:
@@ -102,14 +109,37 @@ class LlmClient:
     Retries connection errors, timeouts and retryable HTTP statuses with
     exponential backoff (base 1 s, factor 2, full jitter). Other client-side
     HTTP errors and malformed response bodies are raised immediately.
+
+    Requests go over keep-alive connections from a pool of at most
+    ``max_concurrent_requests``. :meth:`close` closes the idle ones; call it
+    once no completion is in flight.
     """
 
     def __init__(self, config: LlmConfig):
         if not config.endpoint_url:
             raise ValueError("endpoint_url is required for the HTTP client")
+        url = urllib.parse.urlsplit(config.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname or url.username:
+            raise ValueError(f"endpoint_url {config.endpoint_url!r} is not an http:// or "
+                             "https:// URL with a host and no credentials")
         self.config = config
+        https = url.scheme == "https"
+        self._new_connection = partial(
+            http.client.HTTPSConnection if https else http.client.HTTPConnection,
+            url.hostname, url.port or (443 if https else 80), timeout=config.timeout_s)
+        self._path = url.path or "/"
+        if url.query:
+            self._path += "?" + url.query
         self._semaphore = threading.BoundedSemaphore(config.max_concurrent_requests)
-        self._session = requests.Session()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the pooled idle connections."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -122,16 +152,48 @@ class LlmClient:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle pooled connection the server has not closed, else a new one."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            # a readable idle socket has hit EOF (or holds bytes nobody asked for)
+            with selectors.DefaultSelector() as selector:
+                selector.register(conn.sock, selectors.EVENT_READ)
+                if not selector.select(0):
+                    return conn
+            conn.close()
+        return self._new_connection()
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """One POST on a pooled connection: the status and the whole response body."""
+        conn = self._connection()
+        try:
+            conn.request("POST", self._path, body=body, headers=headers)
+            resp = conn.getresponse()
+            payload = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return resp.status, payload
+
     def complete(self, prompt: str) -> RawResponse:
         if not prompt:
             raise ValueError("prompt is empty")
         cfg = self.config
-        body = {
+        body = json.dumps({
             "model": cfg.model_id,
             "prompt": prompt,
             "temperature": cfg.temperature,
             "max_tokens": cfg.max_tokens,
-        }
+        }).encode("utf-8")
         headers = self._headers()
         last_error: Exception | None = None
         timed_out = False
@@ -139,20 +201,19 @@ class LlmClient:
             for attempt in range(1, cfg.max_retries + 2):
                 start = time.monotonic()
                 try:
-                    resp = self._session.post(
-                        cfg.endpoint_url, json=body, headers=headers, timeout=cfg.timeout_s
-                    )
-                except requests.Timeout as exc:
+                    status, payload = self._post(body, headers)
+                except TimeoutError as exc:
                     last_error, timed_out = exc, True
-                except requests.RequestException as exc:
+                except (OSError, http.client.HTTPException) as exc:
                     last_error = exc
                 else:
-                    if resp.status_code in _RETRYABLE_STATUS:
-                        last_error = LlmNetworkError(f"HTTP {resp.status_code}")
-                    elif resp.status_code != 200:
-                        raise LlmProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                    if status in _RETRYABLE_STATUS:
+                        last_error = LlmNetworkError(f"HTTP {status}")
+                    elif status != 200:
+                        text = payload.decode("utf-8", "replace")
+                        raise LlmProtocolError(f"HTTP {status}: {text[:200]}")
                     else:
-                        return self._parse(resp, time.monotonic() - start, attempt)
+                        return self._parse(payload, time.monotonic() - start, attempt)
                 if attempt <= cfg.max_retries:
                     delay = random.uniform(0.0, BACKOFF_BASE_S * 2.0 ** (attempt - 1))
                     logger.warning("completion attempt %d failed (%s); retrying in %.2fs",
@@ -164,10 +225,9 @@ class LlmClient:
         raise LlmNetworkError(f"request failed after {cfg.max_retries + 1} attempts: "
                               f"{last_error}") from last_error
 
-    def _parse(self, resp, latency: float, attempt: int) -> RawResponse:
+    def _parse(self, payload: bytes, latency: float, attempt: int) -> RawResponse:
         try:
-            doc = resp.json()
-            text = doc["text"]
+            text = json.loads(payload)["text"]
         except (ValueError, KeyError, TypeError) as exc:
             raise LlmProtocolError(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str):
@@ -244,3 +304,6 @@ class MockLlmClient:
 
     def complete(self, prompt: str) -> RawResponse:
         return mock_complete(prompt, self.seed)
+
+    def close(self) -> None:
+        """Nothing to release; here so that either client can be closed."""

@@ -12,6 +12,7 @@ Three separator kinds are supported:
 from __future__ import annotations
 
 import logging
+import re
 import shlex
 import subprocess
 import tempfile
@@ -29,6 +30,7 @@ logger = logging.getLogger(__name__)
 MASK_EPS = 1e-12
 DEFAULT_EXTERNAL_TIMEOUT_S = 120.0
 EXTERNAL_PLACEHOLDERS = ("{MIXTURE}", "{CAPTION}", "{OUT}")
+_PLACEHOLDER_RE = re.compile(r"\{(MIXTURE|CAPTION|OUT)\}")
 EXTERNAL_PROCESS_BOUND = 2
 
 # caps concurrent external subprocesses across all callers in this process
@@ -99,13 +101,11 @@ def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Wavef
         mixture_path = str(Path(tmp) / "mixture.wav")
         out_path = str(Path(tmp) / "estimate.wav")
         write_wav(mixture_path, mixture, encoding="float32")
-        # split first, substitute per token: captions with spaces stay one argv entry
-        argv = []
-        for token in shlex.split(spec.command_template):
-            token = token.replace("{MIXTURE}", mixture_path)
-            token = token.replace("{CAPTION}", caption)
-            token = token.replace("{OUT}", out_path)
-            argv.append(token)
+        # split first, substitute per token: captions with spaces stay one argv entry;
+        # one pass per token, so a caption containing "{OUT}" stays literal text
+        values = {"MIXTURE": mixture_path, "CAPTION": caption, "OUT": out_path}
+        argv = [_PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], token)
+                for token in shlex.split(spec.command_template)]
         try:
             with _external_slots:
                 proc = subprocess.run(argv, capture_output=True, text=True,

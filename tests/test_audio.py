@@ -1,5 +1,8 @@
 import math
+import struct
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,37 @@ def _masked_spectrum(x, params, seed):
 def _rand_wave(n, seed, rate=16000):
     rng = np.random.default_rng(seed)
     return Waveform(0.1 * rng.standard_normal(n), rate)
+
+
+_PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_PCM16 = np.array([-32768, 0, 16384, 32767, -3], np.int16)
+_FLOAT32 = np.array([-1.0, 0.25, 1.5e-7, 0.75], np.float32)
+
+
+def _chunk(chunk_id: bytes, payload: bytes) -> bytes:
+    """A RIFF chunk, with the pad byte an odd-sized payload takes."""
+    return chunk_id + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) % 2)
+
+
+def _riff(*chunks: bytes, container: bytes = b"RIFF") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return container + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag: int, bits: int, tail: bytes = b"", channels: int = 1) -> bytes:
+    block = channels * bits // 8
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, 16000, 16000 * block,
+                                       block, bits) + tail)
+
+
+def _fmt_extensible(subformat: int, bits: int) -> bytes:
+    """A WAVE_FORMAT_EXTENSIBLE fmt chunk: cbSize 22, valid bits, channel mask, GUID."""
+    guid = struct.pack("<H", subformat) + bytes.fromhex("000000001000800000aa00389b71")
+    return _fmt(_EXTENSIBLE, bits, struct.pack("<HHI", 22, bits, 4) + guid)
+
+
+def _data(samples: np.ndarray) -> bytes:
+    return _chunk(b"data", samples.astype(samples.dtype.newbyteorder("<")).tobytes())
 
 
 class TestWaveform:
@@ -94,6 +128,55 @@ class TestWavIO:
     def test_unknown_encoding_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_wav(tmp_path / "x.wav", _rand_wave(16, 0), encoding="pcm24")
+
+    @settings(max_examples=80, deadline=None)
+    @given(samples=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=257),
+           rate=st.sampled_from([1, 8000, 16000, 22050, 44100, 48000, 96000]),
+           encoding=st.sampled_from(["float32", "pcm16"]))
+    def test_write_matches_scipy_bytes(self, samples, rate, encoding):
+        wave = Waveform(np.array(samples), rate)
+        if encoding == "float32":
+            data = wave.samples.astype(np.float32)
+        else:
+            data = np.clip(np.round(wave.samples * 32768.0), -32768, 32767).astype(np.int16)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp) / "ours.wav", Path(tmp) / "scipy.wav"
+            write_wav(ours, wave, encoding=encoding)
+            wavfile.write(theirs, rate, data)
+            assert ours.read_bytes() == theirs.read_bytes()
+            back = read_wav(theirs)
+        expected = data / 32768.0 if encoding == "pcm16" else data.astype(np.float64)
+        assert back == Waveform(expected, rate)
+
+    @pytest.mark.parametrize("chunks, expected", [
+        ([_fmt_extensible(_PCM, 16), _data(_PCM16)], _PCM16 / 32768.0),
+        ([_fmt_extensible(_FLOAT, 32), _data(_FLOAT32)], _FLOAT32),
+        ([_fmt(_PCM, 16), _chunk(b"LIST", b"INFOISFT\x04\x00\x00\x00capa"), _data(_PCM16)],
+         _PCM16 / 32768.0),
+        ([_chunk(b"junk", b"odd"), _fmt(_FLOAT, 32, b"\x00\x00"),
+          _chunk(b"fact", struct.pack("<I", 4)), _data(_FLOAT32)], _FLOAT32),
+    ], ids=["extensible_pcm16", "extensible_float32", "list_chunk", "odd_chunk_padded"])
+    def test_reader_accepts(self, tmp_path, chunks, expected):
+        path = tmp_path / "in.wav"
+        path.write_bytes(_riff(*chunks))
+        assert read_wav(path) == Waveform(expected.astype(np.float64), 16000)
+
+    @pytest.mark.parametrize("content", [
+        _riff(_fmt(_PCM, 16), _data(_PCM16), container=b"RIFX"),
+        _riff(_chunk(b"ds64", bytes(28)), _fmt(_PCM, 16), _data(_PCM16), container=b"RF64"),
+        _riff(_fmt(_PCM, 8), _data(np.array([0, 128, 255], np.uint8))),
+        _riff(_fmt(_PCM, 24), _chunk(b"data", bytes(6))),
+        _riff(_fmt(_PCM, 16, channels=2), _data(_PCM16)),
+        _riff(_fmt(_PCM, 16), _chunk(b"LIST", b"INFO")),
+        _riff(_fmt(_PCM, 16)) + b"data" + struct.pack("<I", 64) + bytes(10),
+        _riff(_data(_PCM16)),
+    ], ids=["rifx", "rf64", "pcm8", "pcm24", "stereo", "no_data_chunk", "short_data_chunk",
+            "no_fmt_chunk"])
+    def test_reader_rejects(self, tmp_path, content):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(content)
+        with pytest.raises(WavFormatError):
+            read_wav(path)
 
 
 class TestMix:

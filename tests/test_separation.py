@@ -2,6 +2,7 @@ import json
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ class TestExternal:
         mixed = _tone_noise_mixture(seed=5)
         separate(spec, mixed.mixture, "a dog barks in the rain")
         assert capture.read_text() == "a dog barks in the rain"
+
+    def test_caption_placeholders_stay_literal(self, tmp_path):
+        capture = tmp_path / "argv.json"
+        script = _write_stub(tmp_path, f"""\
+            import json, shutil, sys
+            open({str(capture)!r}, "w").write(json.dumps(sys.argv[1:]))
+            shutil.copyfile(sys.argv[1], sys.argv[3])
+            """)
+        spec = SeparatorSpec(
+            kind="external",
+            command_template=f"{sys.executable} {script} {{MIXTURE}} {{CAPTION}} {{OUT}}")
+        caption = "a {OUT} hum {MIXTURE}{CAPTION}"
+        separate(spec, _tone_noise_mixture(seed=5).mixture, caption)
+        mixture_path, seen, out_path = json.loads(capture.read_text())
+        assert seen == caption
+        assert Path(mixture_path).name == "mixture.wav"
+        assert Path(out_path).name == "estimate.wav"
 
     def test_nonzero_exit_raises(self, tmp_path):
         script = _write_stub(tmp_path, "import sys; sys.exit(3)")
