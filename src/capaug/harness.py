@@ -11,7 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import operator
 import random
+from collections import deque
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -270,8 +274,20 @@ def _map_in_order(fn, items, workers: int) -> list:
     """
     if not workers:
         return list(map(fn, items))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    # at most 2 * workers items are drawn and not yet collected, so a lazy
+    # ``items`` is read as fast as it is consumed (Executor.map draws it all)
+    results, pending = [], deque()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                results.append(pending.popleft().result())
+        while pending:
+            results.append(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
 
 
 def _augment_one(config: ExperimentConfig, template, complete_fn,
@@ -479,14 +495,16 @@ def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLA
 
 
 def run_evaluation(config: ExperimentConfig,
-                   eval_set: list[EvalItem]) -> EvaluationResult:
+                   eval_set: Iterable[EvalItem]) -> EvaluationResult:
     """Evaluate every configured separator and ensemble on an eval set.
 
     Clip by clip, each separator and then each ensemble makes and scores its
     estimate, which is written at once when an output directory is configured.
-    A separator or scoring failure on a clip (for example a silent reference
-    with ``epsilon=0``) excludes that clip from the separator's aggregate and
-    is reported, not fatal.
+    ``eval_set`` is read once, in its own order; the results, metrics CSVs
+    and report are those of the clips in clip_id order. A separator or
+    scoring failure on a clip (for example a silent reference with
+    ``epsilon=0``) excludes that clip from the separator's aggregate and is
+    reported, not fatal.
     """
     if not config.separators:
         raise ConfigError("no separators configured")
@@ -507,10 +525,17 @@ def run_evaluation(config: ExperimentConfig,
     estimators.update((name, partial(combine, definition))
                       for name, definition in config.ensembles.items())
     external = any(spec.kind == KIND_EXTERNAL for _, spec in config.separators)
-    results = score_clips(sorted(eval_set, key=lambda i: i.clip_id), estimators,
-                          config.epsilon, config.clamp_db,
+    results = score_clips(eval_set, estimators, config.epsilon, config.clamp_db,
                           None if out_dir is None else out_dir / "estimates",
                           EXTERNAL_PROCESS_BOUND if external else 0)
+    # sorted outputs, not inputs, so that the eval set is never held whole;
+    # the aggregate then sums in clip_id order, whatever order the clips came in
+    for result in results.values():
+        result.per_clip.sort(key=lambda s: s.clip_id)
+        result.failed.sort()
+        if result.per_clip:
+            result.aggregate = aggregate([s.metrics for s in result.per_clip],
+                                         config.clamp_db)
     evaluation = EvaluationResult(separators=results, config_hash=config.hash())
     if out_dir is not None:
         metrics_dir = out_dir / "metrics"
@@ -534,29 +559,69 @@ _EVAL_CAPTIONS = [
 ]
 
 
-def make_synthetic_eval_set(n_clips: int, seed: int = 0, sample_rate: int = 16000,
-                            duration_s: float = 4.0, snr_db: float | None = 0.0,
-                            snr_range: tuple[float, float] = DEFAULT_SNR_RANGE_DB,
-                            ) -> list[EvalItem]:
-    """Desk-scale eval clips: tone-burst targets in white-noise interference.
+@dataclass(frozen=True)
+class _SyntheticEvalSet(Sequence):
+    """A read-only sequence of synthetic clips, each made when it is read.
 
-    With ``snr_db=None`` the per-clip SNR is drawn uniformly from
-    ``snr_range`` using the seeded generator.
+    Clip ``i`` depends only on ``(seed, i)``, so a read costs one synthesis
+    and nothing is kept: each read returns a fresh :class:`EvalItem`.
     """
-    items = []
-    for i in range(n_clips):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+    n_clips: int
+    seed: int
+    sample_rate: int
+    duration_s: float
+    snr_db: float | None
+    snr_range: tuple[float, float]
+
+    def __len__(self) -> int:
+        return self.n_clips
+
+    def __getitem__(self, index):
+        # range's indexing: negative indices, slices, IndexError past the end
+        picked = range(self.n_clips)[index]
+        if isinstance(picked, range):
+            return [self._clip(i) for i in picked]
+        return self._clip(picked)
+
+    def _clip(self, i: int) -> EvalItem:
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, i]))
         freq = float(rng.uniform(200.0, 4000.0))
-        target = tone_burst(freq, duration_s, sample_rate,
+        target = tone_burst(freq, self.duration_s, self.sample_rate,
                             burst_period_s=float(rng.uniform(0.3, 0.8)))
-        interference = white_noise(duration_s, sample_rate, rng)
-        clip_snr = snr_db if snr_db is not None else float(rng.uniform(*snr_range))
-        mixed = mix(target, interference, clip_snr)
-        items.append(EvalItem(
+        interference = white_noise(self.duration_s, self.sample_rate, rng)
+        snr_db = self.snr_db
+        if snr_db is None:
+            snr_db = float(rng.uniform(*self.snr_range))
+        mixed = mix(target, interference, snr_db)
+        return EvalItem(
             clip_id=f"clip_{i:03d}",
             mixture=mixed.mixture,
             reference=mixed.target,
             interference=mixed.interference,
             caption=_EVAL_CAPTIONS[i % len(_EVAL_CAPTIONS)],
-        ))
-    return items
+        )
+
+
+def make_synthetic_eval_set(n_clips: int, seed: int = 0, sample_rate: int = 16000,
+                            duration_s: float = 4.0, snr_db: float | None = 0.0,
+                            snr_range: tuple[float, float] = DEFAULT_SNR_RANGE_DB,
+                            ) -> Sequence[EvalItem]:
+    """Desk-scale eval clips: tone-burst targets in white-noise interference.
+
+    With ``snr_db=None`` the per-clip SNR is drawn uniformly from
+    ``snr_range`` using the seeded generator. The result is a read-only
+    sequence that synthesises each clip when it is read, so evaluation
+    holds only the clips in flight; ``list()`` it to keep or edit the items.
+    Bad arguments raise ``ValueError`` here, before any clip is made.
+    """
+    n_clips = operator.index(n_clips)
+    if n_clips < 0:
+        raise ValueError("n_clips must be >= 0")
+    if not sample_rate > 0:
+        raise ValueError("sample_rate must be positive")
+    if not (math.isfinite(duration_s) and round(duration_s * sample_rate) >= 1):
+        raise ValueError("duration_s must give at least one sample")
+    low, high = snr_range if snr_db is None else (snr_db, snr_db)
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise ValueError("snr_db must be finite, or None with a finite (low, high) snr_range")
+    return _SyntheticEvalSet(n_clips, seed, sample_rate, duration_s, snr_db, snr_range)

@@ -12,7 +12,6 @@ store.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import math
@@ -116,6 +115,9 @@ class LlmClient:
     """
 
     def __init__(self, config: LlmConfig):
+        # imported here, not with the module: it loads ssl and email, and the
+        # mock backend and evaluation never open a connection
+        import http.client
         if not config.endpoint_url:
             raise ValueError("endpoint_url is required for the HTTP client")
         url = urllib.parse.urlsplit(config.endpoint_url)
@@ -185,6 +187,7 @@ class LlmClient:
         return resp.status, payload
 
     def complete(self, prompt: str) -> RawResponse:
+        from http.client import HTTPException
         if not prompt:
             raise ValueError("prompt is empty")
         cfg = self.config
@@ -204,7 +207,7 @@ class LlmClient:
                     status, payload = self._post(body, headers)
                 except TimeoutError as exc:
                     last_error, timed_out = exc, True
-                except (OSError, http.client.HTTPException) as exc:
+                except (OSError, HTTPException) as exc:
                     last_error = exc
                 else:
                     if status in _RETRYABLE_STATUS:

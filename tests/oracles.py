@@ -149,3 +149,28 @@ def tone_burst_reference(freq_hz, duration_s, sample_rate, amplitude, burst_peri
     t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
     carrier = amplitude * np.sin(2.0 * np.pi * freq_hz * t)
     return carrier * ((t % burst_period_s) < burst_period_s * duty).astype(np.float64)
+
+
+def synthetic_eval_set_reference(n_clips, seed=0, sample_rate=16000, duration_s=4.0,
+                                 snr_db=0.0, snr_range=(-10.0, 10.0)):
+    """The synthetic eval set built eagerly, as one list, by the loop the library
+    first used: clip ``i`` from ``SeedSequence([seed, i])``."""
+    from capaug.audio import mix, tone_burst, white_noise
+    from capaug.harness import _EVAL_CAPTIONS, EvalItem
+    items = []
+    for i in range(n_clips):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        freq = float(rng.uniform(200.0, 4000.0))
+        target = tone_burst(freq, duration_s, sample_rate,
+                            burst_period_s=float(rng.uniform(0.3, 0.8)))
+        interference = white_noise(duration_s, sample_rate, rng)
+        clip_snr = snr_db if snr_db is not None else float(rng.uniform(*snr_range))
+        mixed = mix(target, interference, clip_snr)
+        items.append(EvalItem(
+            clip_id=f"clip_{i:03d}",
+            mixture=mixed.mixture,
+            reference=mixed.target,
+            interference=mixed.interference,
+            caption=_EVAL_CAPTIONS[i % len(_EVAL_CAPTIONS)],
+        ))
+    return items

@@ -22,6 +22,7 @@ from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
 from capaug import separation
 from capaug.separation import SeparatorSpec, ensemble
+from oracles import synthetic_eval_set_reference
 
 
 # sha256 of every output file of the run in test_output_bytes_are_pinned: a change to
@@ -443,6 +444,7 @@ def _eval_config(tmp_path=None, epsilon=1e-8, **kwargs):
 
 def _with_silent_reference(items):
     """Make clip_001 all interference: a zero-energy reference."""
+    items = list(items)
     item = items[1]
     item.mixture = item.interference
     item.reference = Waveform(np.zeros_like(item.reference.samples),
@@ -500,7 +502,7 @@ class TestRunEvaluation:
         assert "clamp: +/-60 dB" in report
 
     def test_oracle_without_interference_marks_clip_failed(self):
-        items = make_synthetic_eval_set(3, seed=4, duration_s=0.5)
+        items = list(make_synthetic_eval_set(3, seed=4, duration_s=0.5))
         items[1].interference = None
         result = run_evaluation(_eval_config(), items)
         oracle = result.separators["oracle"]
@@ -515,7 +517,7 @@ class TestRunEvaluation:
                         ("oracle", SeparatorSpec(kind="oracle_irm"))],
             ensembles={"pair": EnsembleDef(members=("identity", "oracle"))},
         )
-        items = make_synthetic_eval_set(3, seed=5, duration_s=0.5)
+        items = list(make_synthetic_eval_set(3, seed=5, duration_s=0.5))
         items[0].interference = None
         result = run_evaluation(config, items)
         assert result.separators["pair"].failed == ["clip_000"]
@@ -570,7 +572,7 @@ class TestRunEvaluation:
         assert len(result.separators["pair"].per_clip) == 4
 
     def test_ensemble_wav_is_ensemble_of_member_wavs(self, tmp_path):
-        items = make_synthetic_eval_set(3, seed=8, duration_s=0.25)
+        items = list(make_synthetic_eval_set(3, seed=8, duration_s=0.25))
         items[1].interference = None  # the oracle member fails on clip_001
         run_evaluation(_eval_config(tmp_path, ensembles={
             "pair": EnsembleDef(members=("identity", "oracle"), weights=(0.4, 0.6))}), items)
@@ -583,7 +585,7 @@ class TestRunEvaluation:
             assert np.allclose(written.samples, expected.samples, rtol=0.0, atol=1e-7)
 
     def test_estimate_dir_exists_for_separator_failing_every_clip(self, tmp_path):
-        items = make_synthetic_eval_set(2, seed=9, duration_s=0.25)
+        items = list(make_synthetic_eval_set(2, seed=9, duration_s=0.25))
         for item in items:
             item.interference = None
         result = run_evaluation(_eval_config(tmp_path), items)
@@ -605,7 +607,7 @@ class TestRunEvaluation:
             'case "$2" in *slow*) sleep 0.6;; *fail*) sleep 0.2; exit 3;; *) sleep 0.2;; esac\n'
             'cp "$1" "$3"\n'
             f'date +%s.%N > "{marks}/$id.end"\n')
-        items = make_synthetic_eval_set(7, seed=10, duration_s=0.25)
+        items = list(make_synthetic_eval_set(7, seed=10, duration_s=0.25))
         for item, caption in zip(items, ["slow", "slow", "quick", "fail", "quick",
                                          "slow", "quick"]):
             item.caption = caption
@@ -655,6 +657,64 @@ class TestRunEvaluation:
                    hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in Path("eval").rglob("*") if path.is_file()}
         assert digests == EVAL_DIGESTS
+
+    def test_outputs_do_not_depend_on_input_order(self, tmp_path, monkeypatch):
+        # the external identity refuses the "beep" captions (clip_001, clip_005), so
+        # failures are sorted too; a failing member fails the ensemble on those clips
+        script = tmp_path / "ext_identity.sh"
+        script.write_text('case "$2" in *beep*) exit 3;; esac\nexec cp -- "$1" "$3"\n')
+        external = SeparatorSpec(kind="external",
+                                 command_template=f"sh {script} {{MIXTURE}} {{CAPTION}} {{OUT}}")
+        config = ExperimentConfig(
+            separators=[("identity", SeparatorSpec(kind="identity")),
+                        ("oracle_irm", SeparatorSpec(kind="oracle_irm")),
+                        ("external_identity", external)],
+            ensembles={"ens": EnsembleDef(members=("oracle_irm", "external_identity"),
+                                          weights=(0.5, 0.5))},
+            out_dir="eval")
+        items = make_synthetic_eval_set(6, seed=13, duration_s=0.5, snr_db=None)
+        runs = []
+        for name, eval_set in (("given", items), ("reversed", list(items)[::-1])):
+            # the same relative out_dir, so that report.md's config hash matches
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            result = run_evaluation(config, eval_set)
+            digests = {path.relative_to("eval").as_posix():
+                       hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in Path("eval").rglob("*") if path.is_file()}
+            runs.append((result.separators, digests))
+        (given, given_digests), (backwards, backwards_digests) = runs
+        assert given == backwards
+        assert given_digests == backwards_digests
+        assert len(given_digests) == 2 * 6 + 2 * 4 + 4 + 1  # WAVs, CSVs and report.md
+        assert given["ens"].failed == ["clip_001", "clip_005"]
+        assert [s.clip_id for s in given["ens"].per_clip] == \
+            ["clip_000", "clip_002", "clip_003", "clip_004"]
+
+    def test_clips_in_memory_stay_bounded_with_external_separator(self, tmp_path,
+                                                                  monkeypatch):
+        live, most_alive = [], 0
+        real_mix = harness.mix
+
+        def counting_mix(*args):
+            nonlocal most_alive
+            mixed = real_mix(*args)
+            live.append(weakref.ref(mixed.mixture))
+            most_alive = max(most_alive, sum(ref() is not None for ref in live))
+            return mixed
+
+        monkeypatch.setattr(harness, "mix", counting_mix)
+        script = tmp_path / "ext_identity.sh"
+        script.write_text('exec cp -- "$1" "$3"\n')
+        external = SeparatorSpec(kind="external",
+                                 command_template=f"sh {script} {{MIXTURE}} {{CAPTION}} {{OUT}}")
+        result = run_evaluation(
+            _eval_config(tmp_path, separators=[("ext", external),
+                                               ("identity", SeparatorSpec(kind="identity"))]),
+            make_synthetic_eval_set(12, seed=14, duration_s=0.25))
+        assert len(live) == 12
+        assert len(result.separators["ext"].per_clip) == 12
+        assert most_alive <= 2 * separation.EXTERNAL_PROCESS_BOUND + 1
 
     def test_no_separators_rejected(self):
         with pytest.raises(ConfigError):
@@ -709,6 +769,53 @@ class TestScoreClips:
         assert len(calls) == 6
 
 
+class TestMapInOrder:
+    def test_draws_at_most_two_items_per_worker_ahead(self):
+        drawn = 0
+        fifth_drawn = threading.Event()
+
+        def items():
+            nonlocal drawn
+            for i in range(50):
+                drawn += 1
+                if drawn == 5:
+                    fifth_drawn.set()
+                yield i
+
+        drawn_when_first_done = []
+
+        def square(i):
+            if i == 0:
+                # set at once if the whole input is drawn up front
+                fifth_drawn.wait(timeout=0.5)
+                drawn_when_first_done.append(drawn)
+            return i * i
+
+        assert harness._map_in_order(square, items(), workers=2) == \
+            [i * i for i in range(50)]
+        assert drawn_when_first_done[0] <= 4
+
+    def test_first_exception_propagates_and_stops_the_rest(self):
+        drawn, started = [], []
+
+        def items():
+            for i in range(40):
+                drawn.append(i)
+                yield i
+
+        def fail_on_one(i):
+            started.append(i)
+            time.sleep(0.01)
+            if i == 1:
+                raise RuntimeError("item 1")
+            return i
+
+        with pytest.raises(RuntimeError, match="item 1"):
+            harness._map_in_order(fail_on_one, items(), workers=2)
+        assert len(drawn) < 40
+        assert len(started) < 40
+
+
 class TestSyntheticEvalSet:
     def test_deterministic(self):
         a = make_synthetic_eval_set(3, seed=0, duration_s=0.25)
@@ -716,6 +823,50 @@ class TestSyntheticEvalSet:
         for x, y in zip(a, b):
             assert x.clip_id == y.clip_id
             assert x.mixture == y.mixture
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("snr_db", [None, 0.0])
+    def test_clips_are_bit_identical_to_the_eager_reference(self, seed, snr_db):
+        lazy = make_synthetic_eval_set(6, seed=seed, duration_s=0.5, snr_db=snr_db)
+        reference = synthetic_eval_set_reference(6, seed=seed, duration_s=0.5, snr_db=snr_db)
+        assert len(lazy) == len(reference)
+        for item, expected in zip(lazy, reference):
+            assert (item.clip_id, item.caption) == (expected.clip_id, expected.caption)
+            for stem in ("mixture", "reference", "interference"):
+                got, want = getattr(item, stem), getattr(expected, stem)
+                assert got.sample_rate == want.sample_rate
+                assert got.samples.dtype == want.samples.dtype
+                assert got.samples.tobytes() == want.samples.tobytes(), stem
+
+    def test_sequence_builds_each_clip_when_read(self):
+        items = make_synthetic_eval_set(5, seed=3, duration_s=0.25)
+        backwards = [f"clip_{i:03d}" for i in range(4, -1, -1)]
+        assert len(items) == 5
+        assert items[-1].clip_id == "clip_004"
+        assert items[-1].mixture == items[4].mixture
+        assert [item.clip_id for item in items[::-1]] == backwards
+        assert [item.clip_id for item in reversed(items)] == backwards
+        with pytest.raises(IndexError):
+            items[5]
+        with pytest.raises(IndexError):
+            items[-6]
+        assert items[1] is not items[1]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_clips": -2},
+        {"duration_s": 0.0},
+        {"duration_s": -1.0},
+        {"duration_s": 1e-5},  # rounds to no sample at 16 kHz
+        {"duration_s": float("nan")},
+        {"sample_rate": 0},
+        {"snr_db": float("nan")},
+        {"snr_db": float("inf")},
+        {"snr_db": None, "snr_range": (10.0, -10.0)},
+        {"snr_db": None, "snr_range": (float("nan"), 10.0)},
+    ])
+    def test_bad_arguments_fail_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            make_synthetic_eval_set(**{"n_clips": 2, **kwargs})
 
     def test_snr_zero_gives_equal_energies(self):
         items = make_synthetic_eval_set(2, seed=1, duration_s=0.5, snr_db=0.0)

@@ -379,3 +379,15 @@ def test_import_and_client_load_neither_scipy_nor_requests():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_import_leaves_http_client_unloaded_until_a_client_is_built():
+    # http.client loads ssl and email: processes that never open a connection skip them
+    code = ("import sys, capaug, capaug.cli\n"
+            "loaded = 'http.client' in sys.modules\n"
+            "capaug.LlmClient(capaug.LlmConfig(endpoint_url='http://127.0.0.1:9/complete'))\n"
+            "print(loaded, 'http.client' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(llm.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False True"
