@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 
 from .filtering import normalize
@@ -61,23 +63,29 @@ class ClipEntry:
         if len(keys) != len(set(keys)):
             raise ValueError(f"clip {self.clip_id!r} has duplicate augmented captions")
 
-    def to_dict(self) -> dict:
-        return {
-            "clip_id": self.clip_id,
-            "audio_path": self.audio_path,
-            "source_dataset": self.source_dataset.value,
-            "original_captions": list(self.original_captions),
-            "augmented_captions": list(self.augmented_captions),
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ClipEntry":
+        """The entry a manifest document describes.
+
+        A wrongly typed field raises ``ValueError`` naming the clip and the
+        field: a ``clip_id`` that is not a string, an ``audio_path`` that is
+        neither a string nor null, or captions that are not a list of strings.
+        """
+        clip_id, audio_path = doc["clip_id"], doc.get("audio_path")
+        original, augmented = doc["original_captions"], doc.get("augmented_captions", [])
+        if not isinstance(clip_id, str):
+            raise ValueError(f"clip {clip_id!r}: clip_id must be a string")
+        if not (audio_path is None or isinstance(audio_path, str)):
+            raise ValueError(f"clip {clip_id!r}: audio_path must be a string or null")
+        for name, value in (("original_captions", original), ("augmented_captions", augmented)):
+            if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
+                raise ValueError(f"clip {clip_id!r}: {name} must be a list of strings")
         return cls(
-            clip_id=doc["clip_id"],
-            audio_path=doc.get("audio_path"),
+            clip_id=clip_id,
+            audio_path=audio_path,
             source_dataset=SourceDataset(doc["source_dataset"]),
-            original_captions=list(doc["original_captions"]),
-            augmented_captions=list(doc.get("augmented_captions", [])),
+            original_captions=list(original),
+            augmented_captions=list(augmented),
         )
 
 
@@ -101,16 +109,6 @@ class Manifest:
         except KeyError:
             raise KeyError(f"unknown clip_id {clip_id!r}") from None
 
-    def to_dict(self) -> dict:
-        meta = {
-            "created_at": self.metadata.get("created_at"),
-            "tool_version": self.metadata.get("tool_version", TOOL_VERSION),
-            "prompt_kind": self.metadata.get("prompt_kind"),
-            "seed": self.metadata.get("seed"),
-        }
-        entries = sorted(self.entries, key=lambda e: e.clip_id)
-        return {"metadata": meta, "entries": [e.to_dict() for e in entries]}
-
 
 def utc_now_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -127,9 +125,46 @@ def new_manifest(entries: list[ClipEntry], created_at: str | None = None,
     return Manifest(entries=entries, metadata=metadata)
 
 
+def _string_list(items: list[str]) -> str:
+    """A caption list as ``json.dumps(indent=2)`` writes it inside an entry."""
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(encode_basestring, items)) + "\n      ]"
+
+
+def _entry_json(entry: ClipEntry) -> str:
+    audio_path = "null" if entry.audio_path is None else encode_basestring(entry.audio_path)
+    return (f'    {{\n      "clip_id": {encode_basestring(entry.clip_id)},\n'
+            f'      "audio_path": {audio_path},\n'
+            f'      "source_dataset": {encode_basestring(entry.source_dataset.value)},\n'
+            f'      "original_captions": {_string_list(entry.original_captions)},\n'
+            f'      "augmented_captions": {_string_list(entry.augmented_captions)}\n'
+            '    }')
+
+
 def write_manifest(manifest: Manifest, path) -> None:
-    text = json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write the canonical form: ``json.dumps(doc, indent=2, ensure_ascii=False)``.
+
+    The document is streamed entry by entry, in clip_id order, with
+    ``encode_basestring`` (the string encoder ``json.dumps`` uses), rather
+    than built whole: an indent sends ``json.dumps`` to its pure-Python
+    encoder. Metadata may hold any JSON value, so it goes through ``json.dumps``.
+    """
+    meta = {
+        "created_at": manifest.metadata.get("created_at"),
+        "tool_version": manifest.metadata.get("tool_version", TOOL_VERSION),
+        "prompt_kind": manifest.metadata.get("prompt_kind"),
+        "seed": manifest.metadata.get("seed"),
+    }
+    # json escapes every newline inside a string, so each one here is structural
+    meta_json = json.dumps(meta, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f'{{\n  "metadata": {meta_json},\n  "entries": [')
+        separator = "\n"
+        for entry in sorted(manifest.entries, key=attrgetter("clip_id")):
+            fh.write(separator + _entry_json(entry))
+            separator = ",\n"
+        fh.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
 def read_manifest(path) -> Manifest:
@@ -213,8 +248,10 @@ def ingest_wavcaps(json_path, subset: str) -> list[ClipEntry]:
     source = _WAVCAPS_SUBSET_TO_SOURCE[subset]
     entries = []
     for i, item in enumerate(doc):
-        if not isinstance(item, dict) or "id" not in item or "caption" not in item:
-            raise ValueError(f"{json_path}: element {i} is not an {{id, caption}} record")
+        if not isinstance(item, dict) or "id" not in item or \
+                not isinstance(item.get("caption"), str):
+            raise ValueError(f"{json_path}: element {i} is not an {{id, caption}} record "
+                             "with a string caption")
         entries.append(ClipEntry(
             clip_id=str(item["id"]),
             audio_path=None,
@@ -224,20 +261,23 @@ def ingest_wavcaps(json_path, subset: str) -> list[ClipEntry]:
     return entries
 
 
-def merge_augmented_captions(entry: ClipEntry,
-                             captions: list[str]) -> tuple[ClipEntry, int]:
+def merge_augmented_captions(entry: ClipEntry, captions: list[str],
+                             keys: list[str] | None = None) -> tuple[ClipEntry, int]:
     """New entry with captions appended, normalize-duplicates skipped.
 
     Duplicates are checked against both the originals and the already
-    attached augmentations; the skip count is returned alongside.
+    attached augmentations; the skip count is returned alongside. ``keys``,
+    when given, holds ``normalize(c)`` for each of ``captions`` (as
+    ``FilterReport.accepted_keys`` does), so they are not normalized again.
     """
     existing = {normalize(c) for c in entry.original_captions}
     existing.update(normalize(c) for c in entry.augmented_captions)
+    if keys is None:
+        keys = [normalize(c) for c in captions]
 
     added = list(entry.augmented_captions)
     skipped = 0
-    for caption in captions:
-        key = normalize(caption)
+    for caption, key in zip(captions, keys, strict=True):
         if key in existing:
             skipped += 1
             continue

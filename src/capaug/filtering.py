@@ -13,6 +13,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 DEFAULT_MAX_WORDS = 20
 DEFAULT_MIN_WORDS = 3
@@ -69,6 +70,8 @@ class FilterRules:
 class FilterReport:
     accepted: list[str] = field(default_factory=list)
     rejected: list[tuple[str, RejectReason]] = field(default_factory=list)
+    # normalize(c) for each accepted caption c, in order; not part of to_dict
+    accepted_keys: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -112,14 +115,28 @@ class _PunctuationTable(dict):
 
 
 _DROP_PUNCTUATION = _PunctuationTable()
+# the same categories for ASCII text, as the bytes ``bytes.translate`` deletes
+_ASCII_PUNCTUATION = bytes(c for c in range(128)
+                           if unicodedata.category(chr(c)).startswith("P"))
 
 
 def normalize(caption: str) -> str:
     """Dedup key: lowercase, drop punctuation, collapse whitespace."""
-    return " ".join(caption.lower().translate(_DROP_PUNCTUATION).split())
+    lowered = caption.lower()
+    if lowered.isascii():  # bytes.translate deletes in C, without a lookup per character
+        lowered = lowered.encode("ascii").translate(None, _ASCII_PUNCTUATION).decode("ascii")
+    else:
+        lowered = lowered.translate(_DROP_PUNCTUATION)
+    return " ".join(lowered.split())
 
 
-def _has_banned_token(caption: str, key: str, banned: set[str]) -> bool:
+@lru_cache(maxsize=8)
+def _rule_keys(rules: FilterRules) -> tuple[frozenset[str], str]:
+    """The normalized banned words and failure token of ``rules``."""
+    return frozenset(normalize(w) for w in rules.banned_words), normalize(rules.failure_token)
+
+
+def _has_banned_token(caption: str, key: str, banned: frozenset[str]) -> bool:
     """Whether any whitespace token of ``caption`` normalizes to a banned word.
 
     ``key`` is ``normalize(caption)``, whose words are exactly the non-empty
@@ -134,11 +151,11 @@ def _has_banned_token(caption: str, key: str, banned: set[str]) -> bool:
 def filter_captions(candidates: list[str], rules: FilterRules | None = None) -> FilterReport:
     """Apply the filtering rules to candidates in input order.
 
-    Every candidate lands in exactly one of ``accepted`` or ``rejected``.
+    Every candidate lands in exactly one of ``accepted`` or ``rejected``,
+    and each is normalized once.
     """
     rules = rules or FilterRules()
-    banned = {normalize(w) for w in rules.banned_words}
-    failure_key = normalize(rules.failure_token)
+    banned, failure_key = _rule_keys(rules)
     report = FilterReport()
     accepted_keys: set[str] = set()
 
@@ -161,5 +178,6 @@ def filter_captions(candidates: list[str], rules: FilterRules | None = None) -> 
             report.rejected.append((caption, RejectReason.OVERFLOW))
         else:
             report.accepted.append(caption)
+            report.accepted_keys.append(key)
             accepted_keys.add(key)
     return report

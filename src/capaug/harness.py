@@ -13,12 +13,14 @@ import json
 import logging
 import math
 import operator
+import os
 import random
 from collections import deque
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -201,13 +203,6 @@ class ClipAugmentation:
     gateway_failed: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        # a shallow copy: dataclasses.asdict deep-copies, about 20 times as slow per clip
-        doc = vars(self).copy()
-        del doc["clip_id"]
-        doc["rejected"] = dict(sorted(self.rejected.items()))
-        return doc
-
     @classmethod
     def from_dict(cls, clip_id: str, doc: dict) -> "ClipAugmentation":
         known = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
@@ -235,12 +230,52 @@ class AugmentationStats:
             "rejected": dict(sorted(rejected.items())),
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "totals": self.totals(),
-            "per_clip": {cid: self.per_clip[cid].to_dict()
-                         for cid in sorted(self.per_clip)},
-        }
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``
+    writes it ``indent`` deep, without its pure-Python encoder for the types
+    augmentation stats hold: str, int, bool, None and dicts of them."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = ",\n".join([f"{inner}{encode_basestring(k)}: {_json_value(value[k], inner)}"
+                             for k in sorted(value)])
+        return f"{{\n{items}\n{indent}}}"
+    # json escapes every newline inside a string, so each one here is structural
+    return json.dumps(value, indent=2, sort_keys=True,
+                      ensure_ascii=False).replace("\n", "\n" + indent)
+
+
+# (name, its line prefix) for each stats field, in sorted order
+_CLIP_STATS_FIELDS = [(f.name, f'      "{f.name}": ')
+                      for f in sorted(fields(ClipAugmentation), key=lambda f: f.name)
+                      if f.name != "clip_id"]
+
+
+def _write_stats(stats: AugmentationStats, path) -> None:
+    """Write ``{"per_clip": ..., "totals": ...}`` as ``json.dumps(doc, indent=2,
+    sort_keys=True, ensure_ascii=False)`` would, streamed one clip at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{\n  "per_clip": {')
+        separator = "\n"
+        for cid in sorted(stats.per_clip):
+            values = vars(stats.per_clip[cid])
+            body = ",\n".join([prefix + _json_value(values[name], "      ")
+                                for name, prefix in _CLIP_STATS_FIELDS])
+            fh.write(f"{separator}    {encode_basestring(cid)}: {{\n{body}\n    }}")
+            separator = ",\n"
+        fh.write("}" if separator == "\n" else "\n  }")
+        fh.write(f',\n  "totals": {_json_value(stats.totals(), "  ")}\n}}\n')
 
 
 def _load_previous_run(out_dir: Path,
@@ -270,21 +305,28 @@ def _map_in_order(fn, items, workers: int) -> list:
     Only work that waits on I/O (the HTTP client, external separator
     processes) gets threads: in-process work is CPU-bound under the GIL,
     where a thread pool adds overhead and no parallelism, so it runs on the
-    calling thread.
+    calling thread. The first exception, in item order, propagates, and the
+    items not yet started are dropped.
     """
     if not workers:
         return list(map(fn, items))
-    # at most 2 * workers items are drawn and not yet collected, so a lazy
-    # ``items`` is read as fast as it is consumed (Executor.map draws it all)
-    results, pending = [], deque()
+    # at most 2 * workers items are drawn and unfinished, so a lazy ``items``
+    # is read as fast as it is processed (Executor.map draws it all), and an
+    # item that is slow to finish holds back no other
+    results, pending, unfinished = [], deque(), set()
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == 2 * workers:
-                results.append(pending.popleft().result())
-        while pending:
-            results.append(pending.popleft().result())
+            future = pool.submit(fn, item)
+            pending.append(future)
+            unfinished.add(future)
+            if len(unfinished) == 2 * workers:
+                done, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
+                if any(f.exception() is not None for f in done):
+                    break  # the loop below raises the first exception in item order
+                while pending and pending[0].done():
+                    results.append(pending.popleft().result())
+        results.extend(future.result() for future in pending)
     finally:
         pool.shutdown(cancel_futures=True)
     return results
@@ -314,7 +356,7 @@ def _augment_one(config: ExperimentConfig, template, complete_fn,
         return clip, ClipAugmentation(**failed, gateway_failed=True, error=str(exc))
     candidates = parse_numbered(response.text)
     report = filter_captions(candidates, config.filter_rules)
-    entry, skipped = merge_augmented_captions(clip, report.accepted)
+    entry, skipped = merge_augmented_captions(clip, report.accepted, report.accepted_keys)
     return entry, ClipAugmentation(
         clip_id=clip.clip_id, seed_caption_index=index,
         requested=config.requested_count, parsed=len(candidates),
@@ -379,9 +421,7 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_manifest(result, out_dir / MANIFEST_FILENAME)
-        stats_text = json.dumps(stats.to_dict(), indent=2, sort_keys=True,
-                                ensure_ascii=False) + "\n"
-        (out_dir / STATS_FILENAME).write_text(stats_text, encoding="utf-8")
+        _write_stats(stats, out_dir / STATS_FILENAME)
         failures_path = out_dir / FAILURES_FILENAME
         if failures:
             failure_text = json.dumps({"failed_clips": failures}, indent=2) + "\n"
@@ -454,9 +494,15 @@ def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLA
     at once.
     """
     results = {name: SeparatorResult(name=name) for name in estimators}
+    # per-clip paths through os.path: pathlib interns each component, and a
+    # new interned name per clip makes the interpreter rebuild its ~1 MB table
+    # of interned strings now and then on whichever thread interns, where it
+    # can pin the top of that thread's malloc arena for good
+    est_dirs = {}
     if est_dir is not None:
         for name in estimators:
             (est_dir / name).mkdir(parents=True, exist_ok=True)
+            est_dirs[name] = os.path.join(est_dir, name)
 
     # a function, not a loop body, so that a clip's estimates are freed
     # before the next clip's are made
@@ -476,7 +522,7 @@ def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLA
                 continue
             estimates[name] = estimate
             if est_dir is not None:
-                write_wav(est_dir / name / f"{item.clip_id}.wav", estimate)
+                write_wav(os.path.join(est_dirs[name], item.clip_id + ".wav"), estimate)
         return item.clip_id, triples
 
     for clip_id, triples in _map_in_order(step, items, workers):

@@ -12,13 +12,13 @@ Three separator kinds are supported:
 from __future__ import annotations
 
 import logging
+import os
 import re
 import shlex
 import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -98,8 +98,9 @@ def irm_mask(target: Waveform, interference: Waveform,
 
 def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Waveform:
     with tempfile.TemporaryDirectory(prefix="capaug_sep_") as tmp:
-        mixture_path = str(Path(tmp) / "mixture.wav")
-        out_path = str(Path(tmp) / "estimate.wav")
+        # os.path, not pathlib: see score_clips in capaug.harness
+        mixture_path = os.path.join(tmp, "mixture.wav")
+        out_path = os.path.join(tmp, "estimate.wav")
         write_wav(mixture_path, mixture, encoding="float32")
         # split first, substitute per token: captions with spaces stay one argv entry;
         # one pass per token, so a caption containing "{OUT}" stays literal text

@@ -7,6 +7,7 @@ exception is ``istft_brute``, which borrows numpy's inverse FFT and loops over
 the frames itself.
 """
 
+import json
 import math
 import unicodedata
 
@@ -174,3 +175,41 @@ def synthetic_eval_set_reference(n_clips, seed=0, sample_rate=16000, duration_s=
             caption=_EVAL_CAPTIONS[i % len(_EVAL_CAPTIONS)],
         ))
     return items
+
+
+def manifest_bytes_reference(manifest):
+    """``manifest.json`` as the library first wrote it: the document built as
+    dicts (``Manifest.to_dict`` and ``ClipEntry.to_dict``), then
+    ``json.dumps(indent=2, ensure_ascii=False)`` and a final newline."""
+    from capaug.corpus import TOOL_VERSION
+    meta = {
+        "created_at": manifest.metadata.get("created_at"),
+        "tool_version": manifest.metadata.get("tool_version", TOOL_VERSION),
+        "prompt_kind": manifest.metadata.get("prompt_kind"),
+        "seed": manifest.metadata.get("seed"),
+    }
+    entries = [{
+        "clip_id": e.clip_id,
+        "audio_path": e.audio_path,
+        "source_dataset": e.source_dataset.value,
+        "original_captions": list(e.original_captions),
+        "augmented_captions": list(e.augmented_captions),
+    } for e in sorted(manifest.entries, key=lambda e: e.clip_id)]
+    doc = {"metadata": meta, "entries": entries}
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def stats_bytes_reference(stats):
+    """``augment_stats.json`` as the library first wrote it: the document built
+    as dicts (``AugmentationStats.to_dict`` and ``ClipAugmentation.to_dict``),
+    then ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)`` and a
+    final newline."""
+    per_clip = {}
+    for cid in sorted(stats.per_clip):
+        doc = vars(stats.per_clip[cid]).copy()
+        del doc["clip_id"]
+        doc["rejected"] = dict(sorted(doc["rejected"].items()))
+        per_clip[cid] = doc
+    doc = {"totals": stats.totals(), "per_clip": per_clip}
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return text.encode("utf-8")

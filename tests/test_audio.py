@@ -1,6 +1,9 @@
+import gc
 import math
+import mmap
 import struct
 import tempfile
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -359,6 +362,28 @@ class TestStft:
 
         assert set(kept_after(1000)) == {"padded", "frames", "overlap", "norm"}
         assert kept_after(16000) == {}
+
+    def test_scratch_arrays_are_unmapped_when_their_thread_ends(self):
+        # mapped, not malloc'd: an ended thread's scratch arrays would stay
+        # free in its malloc arena, resident, for whichever thread gets it next
+        def run():
+            x = _rand_wave(4096, 5)
+            matrix = stft(x)
+            assert np.array_equal(istft(matrix, length=len(x)).samples,
+                                  istft_brute(matrix, 1024, 256, len(x)))
+            mappings = []
+            for name in ("padded", "frames", "overlap"):
+                array = getattr(audio._scratch_arrays, name)
+                while isinstance(array, np.ndarray):
+                    array = array.base
+                assert isinstance(array.obj, mmap.mmap)
+                mappings.append(weakref.ref(array.obj))
+            return mappings
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            mappings = pool.submit(run).result()
+        gc.collect()
+        assert [m() for m in mappings] == [None] * 3
 
     def test_stft_results_do_not_share_memory(self):
         a = stft(_rand_wave(4096, 3))

@@ -1,13 +1,46 @@
 import json
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from capaug.corpus import (ClipEntry, FreeSoundExcludedError, Manifest, SourceDataset,
                            ingest_clotho, ingest_fsd50k, ingest_wavcaps,
                            merge_augmented_captions, new_manifest, read_manifest,
                            sample_training_pair, summarize, write_manifest)
+from capaug.filtering import filter_captions, normalize
+from oracles import manifest_bytes_reference
+
+# any text UTF-8 can encode (no lone surrogates), drawing often the characters
+# JSON escapes (quotes, backslashes, control characters) and U+2028, which it does not
+TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028 é'),
+                         st.characters(exclude_categories=["Cs"])),
+               max_size=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(TEXT, children, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def manifests(draw):
+    entries = [ClipEntry(clip_id=clip_id,
+                         source_dataset=draw(st.sampled_from(SourceDataset)),
+                         original_captions=draw(st.lists(TEXT, min_size=1, max_size=3)),
+                         augmented_captions=draw(st.lists(TEXT, max_size=3,
+                                                          unique_by=normalize)),
+                         audio_path=draw(st.none() | TEXT))
+               for clip_id in draw(st.lists(st.text(min_size=1, max_size=8), unique=True,
+                                            max_size=4))]
+    keys = st.sampled_from(["created_at", "tool_version", "prompt_kind", "seed", "other"])
+    return Manifest(entries=entries,
+                    metadata=draw(st.dictionaries(keys, JSON_VALUES, max_size=5)))
 
 
 def _entry(clip_id="c1", captions=("a sound plays",), dataset=SourceDataset.SYNTHETIC):
@@ -116,6 +149,13 @@ class TestIngestWavcaps:
         with pytest.raises(ValueError, match="record"):
             ingest_wavcaps(path, "BBC")
 
+    @pytest.mark.parametrize("caption", [7, None, ["a dog barks"]])
+    def test_caption_that_is_not_a_string_rejected(self, tmp_path, caption):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"id": "a", "caption": caption}]))
+        with pytest.raises(ValueError, match="string caption"):
+            ingest_wavcaps(path, "BBC")
+
 
 class TestEntryAndManifestInvariants:
     def test_entry_needs_original_caption(self):
@@ -150,6 +190,14 @@ class TestAttach:
             ["a dog barks loudly!", "a cat meows softly"])
         assert skipped == 1
         assert merged.augmented_captions == ["a cat meows softly"]
+
+    def test_keys_from_the_filter_give_the_same_entry(self):
+        entry = _entry("c1", captions=("A dog barks loudly",))
+        report = filter_captions(["a dog barks loudly!", "a cat meows softly",
+                                  "A cat meows, softly"])
+        with_keys = merge_augmented_captions(entry, report.accepted, report.accepted_keys)
+        assert with_keys == merge_augmented_captions(entry, report.accepted)
+        assert with_keys[0].augmented_captions == ["a cat meows softly"]
 
     def test_attach_skips_duplicates_of_existing_augmentations(self):
         entry, _ = merge_augmented_captions(_entry("c1"), ["new caption here"])
@@ -254,6 +302,51 @@ class TestManifestRoundTrip:
             write_manifest(manifest, p1)
             write_manifest(other, p2)
             assert p1.read_bytes() == p2.read_bytes()
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(manifest=manifests())
+    @example(manifest=new_manifest([], created_at="2025-01-01T00:00:00Z"))
+    def test_bytes_match_the_dict_and_json_dumps_reference(self, manifest):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            write_manifest(manifest, path)
+            assert path.read_bytes() == manifest_bytes_reference(manifest)
+
+
+def _manifest_doc(**fields):
+    entry = {"clip_id": "c1", "audio_path": None, "source_dataset": "Synthetic",
+             "original_captions": ["a sound plays"], "augmented_captions": []}
+    entry.update(fields)
+    return {"metadata": {}, "entries": [entry]}
+
+
+class TestReadManifestTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("clip_id", 7),
+        ("clip_id", None),
+        ("audio_path", 3),
+        ("audio_path", ["a.wav"]),
+        ("original_captions", "a cat meows"),
+        ("original_captions", ["a cat meows", 5]),
+        ("original_captions", {"a": "b"}),
+        ("augmented_captions", "a dog barks"),
+        ("augmented_captions", [None]),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_manifest_doc(**{field: value})))
+        clip_id = value if field == "clip_id" else "c1"
+        with pytest.raises(ValueError, match=re.escape(f"clip {clip_id!r}: {field} must")):
+            read_manifest(path)
+
+    def test_well_typed_fields_accepted(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_manifest_doc(audio_path="a.wav",
+                                                 augmented_captions=["a dog barks"])))
+        entry = read_manifest(path).entries[0]
+        assert entry.audio_path == "a.wav"
+        assert entry.augmented_captions == ["a dog barks"]
 
 
 class TestSampleTrainingPair:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import threading
 import time
 import weakref
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capaug.harness as harness
+from capaug import corpus, filtering
 from capaug.audio import Waveform, read_wav
 from capaug.corpus import Manifest, new_manifest, read_manifest
 from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig,
@@ -22,7 +24,7 @@ from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
 from capaug import separation
 from capaug.separation import SeparatorSpec, ensemble
-from oracles import synthetic_eval_set_reference
+from oracles import stats_bytes_reference, synthetic_eval_set_reference
 
 
 # sha256 of every output file of the run in test_output_bytes_are_pinned: a change to
@@ -422,6 +424,28 @@ class TestRunAugmentation:
                          resume=False)
         assert len(calls) == 10
 
+    def test_each_caption_is_normalized_once(self, synthetic_manifest, monkeypatch):
+        config = _mock_config()
+        # the filter rules' own keys are made once per rules, on first use
+        run_augmentation(config, manifest=synthetic_manifest)
+        calls = 0
+
+        def counting(normalize):
+            def counted(text):
+                nonlocal calls
+                calls += 1
+                return normalize(text)
+            return counted
+
+        monkeypatch.setattr(filtering, "normalize", counting(filtering.normalize))
+        monkeypatch.setattr(corpus, "normalize", counting(corpus.normalize))
+        manifest, stats = run_augmentation(config, manifest=synthetic_manifest)
+        # each parsed candidate in the filter, then each original caption (to
+        # skip duplicates) and each final caption (the entry's own check) in corpus
+        once_each = sum(stats.per_clip[e.clip_id].parsed + len(e.original_captions)
+                        + len(e.augmented_captions) for e in manifest.entries)
+        assert 0 < calls <= once_each
+
     def test_manifest_path_loading(self, tmp_path, data_dir):
         config = _mock_config(manifest_path=str(data_dir / "synthetic_manifest.json"))
         manifest, stats = run_augmentation(config)
@@ -430,6 +454,36 @@ class TestRunAugmentation:
     def test_missing_manifest_config_error(self):
         with pytest.raises(ConfigError):
             run_augmentation(_mock_config(manifest_path=None))
+
+
+NUMBERS = st.integers() | st.booleans() | st.floats()
+# as in test_corpus: text UTF-8 can encode, often with characters JSON escapes
+TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028 é'),
+                         st.characters(exclude_categories=["Cs"])),
+               max_size=12)
+
+
+@st.composite
+def augmentation_stats(draw):
+    per_clip = {}
+    for clip_id in draw(st.lists(TEXT, unique=True, max_size=4)):
+        per_clip[clip_id] = harness.ClipAugmentation(
+            clip_id=clip_id, requested=draw(NUMBERS), parsed=draw(NUMBERS),
+            accepted=draw(NUMBERS), seed_caption_index=draw(st.none() | NUMBERS),
+            attach_skipped=draw(NUMBERS),
+            rejected=draw(st.dictionaries(TEXT, NUMBERS, max_size=3)),
+            gateway_failed=draw(st.booleans()), error=draw(st.none() | TEXT))
+    return harness.AugmentationStats(per_clip=per_clip)
+
+
+class TestStatsFile:
+    @settings(max_examples=100, deadline=None)
+    @given(stats=augmentation_stats())
+    @example(stats=harness.AugmentationStats())
+    def test_bytes_match_the_dict_and_json_dumps_reference(self, tmp_path_factory, stats):
+        path = tmp_path_factory.mktemp("stats") / "augment_stats.json"
+        harness._write_stats(stats, path)
+        assert path.read_bytes() == stats_bytes_reference(stats)
 
 
 def _eval_config(tmp_path=None, epsilon=1e-8, **kwargs):
@@ -716,6 +770,30 @@ class TestRunEvaluation:
         assert len(result.separators["ext"].per_clip) == 12
         assert most_alive <= 2 * separation.EXTERNAL_PROCESS_BOUND + 1
 
+    def test_worker_threads_intern_no_strings(self, tmp_path, monkeypatch):
+        # pathlib interns each component of a path; a new name interned per
+        # clip on a worker thread makes the interpreter rebuild its table of
+        # interned strings there now and then, which pins that thread's heap
+        interned_on_workers = []
+        real_intern = sys.intern
+
+        def recording_intern(text):
+            if threading.current_thread() is not threading.main_thread():
+                interned_on_workers.append(text)
+            return real_intern(text)
+
+        script = tmp_path / "ext_identity.sh"
+        script.write_text('exec cp -- "$1" "$3"\n')
+        external = SeparatorSpec(kind="external",
+                                 command_template=f"sh {script} {{MIXTURE}} {{CAPTION}} {{OUT}}")
+        config = _eval_config(tmp_path, separators=[("ext", external),
+                                                    ("identity", SeparatorSpec(kind="identity"))])
+        monkeypatch.setattr(sys, "intern", recording_intern)
+        result = run_evaluation(config, make_synthetic_eval_set(4, seed=15, duration_s=0.25))
+        assert len(result.separators["ext"].per_clip) == 4
+        assert len(list((tmp_path / "eval" / "estimates" / "ext").glob("*.wav"))) == 4
+        assert interned_on_workers == []
+
     def test_no_separators_rejected(self):
         with pytest.raises(ConfigError):
             run_evaluation(ExperimentConfig(separators=[]),
@@ -771,29 +849,45 @@ class TestScoreClips:
 
 class TestMapInOrder:
     def test_draws_at_most_two_items_per_worker_ahead(self):
-        drawn = 0
-        fifth_drawn = threading.Event()
+        # ahead of the items finished: at every draw, items drawn minus items
+        # finished is at most 2 * workers
+        lock = threading.Lock()
+        drawn = finished = 0
+        ahead = []
 
         def items():
             nonlocal drawn
             for i in range(50):
-                drawn += 1
-                if drawn == 5:
-                    fifth_drawn.set()
+                with lock:
+                    drawn += 1
+                    ahead.append(drawn - finished)
                 yield i
 
-        drawn_when_first_done = []
-
         def square(i):
-            if i == 0:
-                # set at once if the whole input is drawn up front
-                fifth_drawn.wait(timeout=0.5)
-                drawn_when_first_done.append(drawn)
+            nonlocal finished
+            time.sleep(0.03 if i % 7 == 0 else 0.002)
+            with lock:
+                finished += 1
             return i * i
 
         assert harness._map_in_order(square, items(), workers=2) == \
             [i * i for i in range(50)]
-        assert drawn_when_first_done[0] <= 4
+        assert len(ahead) == 50
+        assert max(ahead) <= 4
+
+    def test_a_slow_item_holds_back_no_other(self):
+        # item 0 can finish only once item 9 has run, so the pool has to keep
+        # drawing past it while it waits
+        ninth_ran = threading.Event()
+
+        def wait_for_ninth(i):
+            if i == 0:
+                return ninth_ran.wait(timeout=2.0)
+            if i == 9:
+                ninth_ran.set()
+            return True
+
+        assert harness._map_in_order(wait_for_ninth, range(10), workers=2) == [True] * 10
 
     def test_first_exception_propagates_and_stops_the_rest(self):
         drawn, started = [], []

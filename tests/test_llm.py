@@ -41,14 +41,16 @@ class _StubHandler(BaseHTTPRequestHandler):
                 _REAL_SLEEP(action["sleep"])
             status = action.get("status", 200)
             payload = action.get("body", json.dumps({"text": action.get("text", "ok")}))
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload.encode("utf-8"))
         finally:
+            # finished before the response is written: once the client has read
+            # it, it may send its next request at once
             with server.state_lock:
                 server.in_flight -= 1
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload.encode("utf-8"))
 
     def log_message(self, *args):
         pass
