@@ -19,7 +19,7 @@ from .filtering import FilterReport, FilterRules, RejectReason, filter_captions,
 from .harness import (EvalItem, ExperimentConfig, make_synthetic_eval_set,
                       run_augmentation, run_evaluation)
 from .llm import LlmClient, LlmConfig, MockLlmClient, RawResponse, mock_complete
-from .metrics import MetricsTriple, aggregate, compute_triple, sdr, sdri, si_sdr
+from .metrics import MetricsTriple, aggregate, sdr, sdri, si_sdr
 from .prompts import PromptKind, PromptTemplate, builtin_template, render
 from .reporting import ReportRow, render_report
 from .separation import SeparatorSpec, ensemble, separate
@@ -35,7 +35,7 @@ __all__ = [
     "ExperimentConfig", "EvalItem", "run_augmentation", "run_evaluation",
     "make_synthetic_eval_set",
     "LlmConfig", "LlmClient", "MockLlmClient", "RawResponse", "mock_complete",
-    "MetricsTriple", "sdr", "sdri", "si_sdr", "compute_triple", "aggregate",
+    "MetricsTriple", "sdr", "sdri", "si_sdr", "aggregate",
     "PromptKind", "PromptTemplate", "builtin_template", "render",
     "ReportRow", "render_report",
     "SeparatorSpec", "separate", "ensemble",

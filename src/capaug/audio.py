@@ -1,8 +1,9 @@
 """Mono WAV I/O, SNR-controlled mixing, and STFT/ISTFT.
 
 All operations are deterministic and work on float64 sample buffers in
-[-1, 1)-ish range. Only mono PCM16 and IEEE float32 WAV files are supported;
-PCM16 is decoded by dividing by 32768 so that -32768 maps to exactly -1.0.
+[-1, 1)-ish range. Only mono WAV files are supported: PCM16 and IEEE float32
+are read, float32 is written. PCM16 is decoded by dividing by 32768 so that
+-32768 maps to exactly -1.0.
 """
 
 from __future__ import annotations
@@ -122,25 +123,17 @@ def read_wav(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=rate)
 
 
-def write_wav(path, waveform: Waveform, encoding: str = "float32") -> None:
-    """Write a waveform as PCM16 or float32. Float32 round-trips losslessly.
+def write_wav(path, waveform: Waveform) -> None:
+    """Write a waveform as float32, which round-trips losslessly.
 
-    The bytes are those ``scipy.io.wavfile.write`` writes: a 44-byte header
-    for PCM16, and for float32 a 58-byte one whose ``fmt `` chunk carries a
-    zero cbSize and is followed by a ``fact`` chunk. An odd-sized ``data``
-    chunk gets no pad byte.
+    The bytes are those ``scipy.io.wavfile.write`` writes: a 58-byte header
+    whose ``fmt `` chunk carries a zero cbSize and is followed by a ``fact``
+    chunk. An odd-sized ``data`` chunk gets no pad byte.
     """
     rate = waveform.sample_rate
-    if encoding == "float32":
-        data = waveform.samples.astype("<f4")
-        fmt = struct.pack("<HHIIHHH", _FORMAT_FLOAT, 1, rate, 4 * rate, 4, 32, 0)
-        fact = struct.pack("<4sII", b"fact", 4, data.size)
-    elif encoding == "pcm16":
-        data = np.clip(np.round(waveform.samples * 32768.0), -32768, 32767).astype("<i2")
-        fmt = struct.pack("<HHIIHH", _FORMAT_PCM, 1, rate, 2 * rate, 2, 16)
-        fact = b""
-    else:
-        raise ValueError(f"unsupported encoding {encoding!r}")
+    data = waveform.samples.astype("<f4")
+    fmt = struct.pack("<HHIIHHH", _FORMAT_FLOAT, 1, rate, 4 * rate, 4, 32, 0)
+    fact = struct.pack("<4sII", b"fact", 4, data.size)
     riff_size = 4 + 8 + len(fmt) + len(fact) + 8 + data.nbytes  # struct refuses > 4 GiB
     header = (struct.pack("<4sI4s4sI", b"RIFF", riff_size, b"WAVE", b"fmt ", len(fmt))
               + fmt + fact + struct.pack("<4sI", b"data", data.nbytes))

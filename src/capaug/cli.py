@@ -347,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        given = [f"--{name.replace('_', '-')}" for name in ("config", "seed", "out_dir")
+                 if getattr(args, name) is not None]
+        if given and args.command != "augment":
+            raise ConfigError(f"{' '.join(given)}: only augment reads these flags")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -142,6 +145,19 @@ def _entry_json(entry: ClipEntry) -> str:
             '    }')
 
 
+@contextmanager
+def open_replacing(path):
+    """A temp text file beside ``path`` that replaces it (``os.replace``) when
+    the block ends; if the block raises, ``path`` keeps its old bytes."""
+    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_manifest(manifest: Manifest, path) -> None:
     """Write the canonical form: ``json.dumps(doc, indent=2, ensure_ascii=False)``.
 
@@ -158,7 +174,7 @@ def write_manifest(manifest: Manifest, path) -> None:
     }
     # json escapes every newline inside a string, so each one here is structural
     meta_json = json.dumps(meta, indent=2, ensure_ascii=False).replace("\n", "\n  ")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(path) as fh:
         fh.write(f'{{\n  "metadata": {meta_json},\n  "entries": [')
         separator = "\n"
         for entry in sorted(manifest.entries, key=attrgetter("clip_id")):

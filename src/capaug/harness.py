@@ -27,7 +27,8 @@ import numpy as np
 
 from . import corpus
 from .audio import DEFAULT_SNR_RANGE_DB, Waveform, mix, tone_burst, white_noise, write_wav
-from .corpus import Manifest, merge_augmented_captions, read_manifest, write_manifest
+from .corpus import (Manifest, merge_augmented_captions, open_replacing, read_manifest,
+                     write_manifest)
 from .filtering import FilterRules, filter_captions, parse_numbered
 from .llm import LlmClient, LlmConfig, LlmError, MockLlmClient
 from .metrics import DEFAULT_CLAMP_DB, MetricsTriple, aggregate, scorer
@@ -111,9 +112,12 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(
                     f"ensemble {ens_name!r} references unknown separators {unknown}")
-            if definition.weights is not None and \
-                    len(definition.weights) != len(definition.members):
+            weights = definition.weights or (1.0,)  # None: equal weights
+            if definition.weights is not None and len(weights) != len(definition.members):
                 raise ConfigError(f"ensemble {ens_name!r} needs one weight per member")
+            # weights that separation.ensemble refuses, or turns to NaN, on every clip
+            if not (all(math.isfinite(w) and w >= 0 for w in weights) and max(weights) > 0):
+                raise ConfigError(f"ensemble {ens_name!r} needs finite weights >= 0, one > 0")
         if not (self.clamp_db > 0 and self.epsilon >= 0):  # NaN fails this too
             raise ConfigError("clamp_db must be > 0 and epsilon >= 0")
         if self.use_mock_llm == (self.llm is not None):
@@ -265,7 +269,7 @@ _CLIP_STATS_FIELDS = [(f.name, f'      "{f.name}": ')
 def _write_stats(stats: AugmentationStats, path) -> None:
     """Write ``{"per_clip": ..., "totals": ...}`` as ``json.dumps(doc, indent=2,
     sort_keys=True, ensure_ascii=False)`` would, streamed one clip at a time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_replacing(path) as fh:
         fh.write('{\n  "per_clip": {')
         separator = "\n"
         for cid in sorted(stats.per_clip):
@@ -424,8 +428,8 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
         _write_stats(stats, out_dir / STATS_FILENAME)
         failures_path = out_dir / FAILURES_FILENAME
         if failures:
-            failure_text = json.dumps({"failed_clips": failures}, indent=2) + "\n"
-            failures_path.write_text(failure_text, encoding="utf-8")
+            with open_replacing(failures_path) as fh:
+                fh.write(json.dumps({"failed_clips": failures}, indent=2) + "\n")
         else:
             failures_path.unlink(missing_ok=True)
     return result, stats
@@ -477,9 +481,8 @@ def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLAMP_DB,
-                est_dir: Path | None = None, workers: int = 0,
-                ) -> dict[str, SeparatorResult]:
+def score_clips(items, estimators, epsilon: float, est_dir: Path | None = None,
+                workers: int = 0) -> dict[str, SeparatorResult]:
     """Score every estimator on each item, clip by clip, in the order given.
 
     ``estimators`` maps a name to ``estimate_of(item, estimates)``, where
@@ -491,7 +494,7 @@ def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLA
     name's, and no estimate of it is made. With ``est_dir``, estimates are
     written to ``est_dir/<name>/`` as soon as they are scored. A clip's
     estimates are freed once it is done; ``workers`` > 0 runs that many clips
-    at once.
+    at once. No aggregate is set: :func:`run_evaluation` forms it in clip_id order.
     """
     results = {name: SeparatorResult(name=name) for name in estimators}
     # per-clip paths through os.path: pathlib interns each component, and a
@@ -532,8 +535,6 @@ def score_clips(items, estimators, epsilon: float, clamp_db: float = DEFAULT_CLA
             else:
                 result.failed.append(clip_id)
     for name, result in results.items():
-        if result.per_clip:
-            result.aggregate = aggregate([s.metrics for s in result.per_clip], clamp_db)
         if result.failed:
             logger.warning("%s failed on %d clips: %s", name, len(result.failed),
                            result.failed)
@@ -571,7 +572,7 @@ def run_evaluation(config: ExperimentConfig,
     estimators.update((name, partial(combine, definition))
                       for name, definition in config.ensembles.items())
     external = any(spec.kind == KIND_EXTERNAL for _, spec in config.separators)
-    results = score_clips(eval_set, estimators, config.epsilon, config.clamp_db,
+    results = score_clips(eval_set, estimators, config.epsilon,
                           None if out_dir is None else out_dir / "estimates",
                           EXTERNAL_PROCESS_BOUND if external else 0)
     # sorted outputs, not inputs, so that the eval set is never held whole;

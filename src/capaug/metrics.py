@@ -121,7 +121,8 @@ def si_sdr(estimate: Signal, reference: Signal, epsilon: float = 0.0) -> float:
 
 def scorer(mixture: Signal, reference: Signal,
            epsilon: float = 0.0) -> Callable[[Signal], MetricsTriple]:
-    """``score(estimate)``: the :func:`compute_triple` of an estimate of one clip.
+    """``score(estimate)``: the SDR, SDRi and SI-SDR of an estimate of one clip,
+    equal to the three separate calls.
 
     The reference energy and the unprocessed mixture's SDR depend only on the
     clip, so they are computed here, once; each ``score`` call adds the
@@ -138,12 +139,6 @@ def scorer(mixture: Signal, reference: Signal,
         return MetricsTriple(sdr_db=sdr_db, sdri_db=sdr_db - mixture_sdr,
                              si_sdr_db=_si_sdr(est, ref, ref_energy, epsilon))
     return score
-
-
-def compute_triple(estimate: Signal, mixture: Signal, reference: Signal,
-                   epsilon: float = 0.0) -> MetricsTriple:
-    """SDR, SDRi and SI-SDR of one estimate, equal to the three separate calls."""
-    return scorer(mixture, reference, epsilon)(estimate)
 
 
 def aggregate(triples: list[MetricsTriple],

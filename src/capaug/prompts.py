@@ -70,15 +70,6 @@ class PromptTemplate:
         }
         return json.dumps(doc, indent=2, ensure_ascii=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PromptTemplate":
-        doc = json.loads(text)
-        return cls(
-            kind=PromptKind(doc["kind"]),
-            instruction_text=doc["instruction_text"],
-            requested_count=int(doc.get("requested_count", DEFAULT_REQUESTED_COUNT)),
-        )
-
 
 def builtin_template(kind: PromptKind | str) -> PromptTemplate:
     """Return one of the three built-in templates with its default count."""

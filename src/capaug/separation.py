@@ -12,6 +12,7 @@ Three separator kinds are supported:
 from __future__ import annotations
 
 import logging
+import math
 import os
 import re
 import shlex
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import (StftParams, Waveform, read_wav, resynthesize_masked, stft,
-                    write_wav)
+from .audio import StftParams, Waveform, read_wav, resynthesize_masked, write_wav
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +59,9 @@ class SeparatorSpec:
             missing = [p for p in EXTERNAL_PLACEHOLDERS if p not in self.command_template]
             if missing:
                 raise ValueError(f"external command template is missing {missing}")
+        # NaN passes a plain comparison; a string raises TypeError here
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError("timeout_s must be positive and finite")
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -88,20 +91,12 @@ def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
     return np.divide(p_t, p_i, out=p_t)
 
 
-def irm_mask(target: Waveform, interference: Waveform,
-             params: StftParams | None = None) -> np.ndarray:
-    """Ideal ratio mask |S_t|^2 / (|S_t|^2 + |S_i|^2 + eps), values in [0, 1]."""
-    params = params or StftParams()
-    return _irm_in_place(np.abs(stft(target, params)) ** 2,
-                         np.abs(stft(interference, params)) ** 2)
-
-
 def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Waveform:
     with tempfile.TemporaryDirectory(prefix="capaug_sep_") as tmp:
         # os.path, not pathlib: see score_clips in capaug.harness
         mixture_path = os.path.join(tmp, "mixture.wav")
         out_path = os.path.join(tmp, "estimate.wav")
-        write_wav(mixture_path, mixture, encoding="float32")
+        write_wav(mixture_path, mixture)
         # split first, substitute per token: captions with spaces stay one argv entry;
         # one pass per token, so a caption containing "{OUT}" stays literal text
         values = {"MIXTURE": mixture_path, "CAPTION": caption, "OUT": out_path}

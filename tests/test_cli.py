@@ -94,6 +94,21 @@ class TestAugment:
         assert code == 0
         assert (out_dir / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--config", "bad.json", "stats", "--manifest", "m.json"],
+        ["--seed", 3, "stats", "--manifest", "m.json"],
+        ["--out-dir", "out", "prompt", "show", "simple"],
+        ["--config", "bad.json", "--out-dir", "out", "report", "--rows", "rows.json"],
+    ])
+    def test_global_flags_refused_on_other_commands(self, tmp_path, data_dir, capsys,
+                                                    monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_bytes((data_dir / "synthetic_manifest.json").read_bytes())
+        (tmp_path / "rows.json").write_text('[{"model": "m", "sdr": 1, "sdri": 1, "si_sdr": 1}]')
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_manifest_is_config_error(self, tmp_path):
         assert run_cli("augment", "--mock-llm", "--out-dir", tmp_path / "x") == 2
 
@@ -208,6 +223,19 @@ class TestConfigFiles:
         ("--rules", {"max_word": 20}),
         ("--spec", {"kind": "identity", "knd": 1}),
         ("--config", {"sed": 3}),
+        ("--spec", {"kind": "identity", "timeout_s": "fast"}),
+        ("--spec", {"kind": "external", "command": "sep {MIXTURE} {CAPTION} {OUT}",
+                    "timeout_s": -1}),
+        ("--config", {"separators": [{"name": "x", "kind": "identity", "timeout_s": "fast"}]}),
+        ("--config", {"separators": [{"name": "x", "kind": "identity",
+                                      "timeout_s": float("nan")}]}),
+        ("--config", {"separators": [{"name": "x", "kind": "identity"}],
+                      "ensembles": {"e": {"members": ["x"], "weights": [-1]}}}),
+        ("--config", {"separators": [{"name": "x", "kind": "identity"},
+                                     {"name": "y", "kind": "identity"}],
+                      "ensembles": {"e": {"members": ["x", "y"], "weights": [-1, 2]}}}),
+        ("--config", {"separators": [{"name": "x", "kind": "identity"}],
+                      "ensembles": {"e": {"members": ["x"], "weights": [0]}}}),
     ])
     def test_bad_document_exit_2(self, tmp_path, wav_pair, capsys, option, doc):
         path = tmp_path / "doc.json"

@@ -265,6 +265,20 @@ class TestManifestRoundTrip:
         write_manifest(read_manifest(path1), path2)
         assert path1.read_bytes() == path2.read_bytes()
 
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, synthetic_manifest):
+        path = tmp_path / "m.json"
+        write_manifest(synthetic_manifest, path)
+        before = path.read_bytes()
+        # a caption that is not a string stops the stream part-way through
+        bad = ClipEntry(clip_id="zzz", source_dataset=SourceDataset.SYNTHETIC,
+                        original_captions=[5])
+        broken = Manifest(entries=[*synthetic_manifest.entries, bad],
+                          metadata=synthetic_manifest.metadata)
+        with pytest.raises(TypeError):
+            write_manifest(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_entries_sorted_by_clip_id(self, tmp_path):
         manifest = new_manifest([_entry("zzz"), _entry("aaa")],
                                 created_at="2025-01-01T00:00:00Z")

@@ -128,6 +128,15 @@ class TestConfig:
                                          ("b", SeparatorSpec(kind="identity"))],
                              ensembles={"a": EnsembleDef(members=("a", "b"))})
 
+    @pytest.mark.parametrize("weights", [(-1.0, 2.0), (0.0, 0.0), (math.nan, 1.0),
+                                         (math.inf, 1.0)])
+    def test_ensemble_weights_that_fail_every_clip_rejected(self, weights):
+        with pytest.raises(ConfigError, match="needs finite weights >= 0, one > 0"):
+            ExperimentConfig(
+                separators=[("a", SeparatorSpec(kind="identity")),
+                            ("b", SeparatorSpec(kind="identity"))],
+                ensembles={"e": EnsembleDef(members=("a", "b"), weights=weights)})
+
     def test_unknown_prompt_kind_rejected(self):
         with pytest.raises(ConfigError, match="prompt kind"):
             ExperimentConfig(prompt_kind="fancy")
@@ -485,6 +494,19 @@ class TestStatsFile:
         harness._write_stats(stats, path)
         assert path.read_bytes() == stats_bytes_reference(stats)
 
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, synthetic_manifest):
+        _, stats = run_augmentation(_mock_config(), synthetic_manifest)
+        path = tmp_path / "augment_stats.json"
+        harness._write_stats(stats, path)
+        before = path.read_bytes()
+        # a NumPy integer is not JSON: the stream stops at the last clip
+        last = max(stats.per_clip)
+        stats.per_clip[last] = replace(stats.per_clip[last], parsed=np.int64(3))
+        with pytest.raises(TypeError):
+            harness._write_stats(stats, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["augment_stats.json"]
+
 
 def _eval_config(tmp_path=None, epsilon=1e-8, **kwargs):
     separators = kwargs.pop("separators", [
@@ -511,7 +533,8 @@ class TestRunEvaluation:
         items = make_synthetic_eval_set(5, seed=0, duration_s=0.5)
         result = run_evaluation(_eval_config(epsilon=0.0), items)
         assert result.separators["identity"].aggregate.sdri_db == 0.0
-        result_eps = run_evaluation(_eval_config(epsilon=1e-8), items)
+        # the aggregate is formed in clip_id order, whatever order the clips come in
+        result_eps = run_evaluation(_eval_config(epsilon=1e-8), iter(items[::-1]))
         assert abs(result_eps.separators["identity"].aggregate.sdri_db) <= 1e-7
 
     def test_oracle_strictly_beats_identity(self):
@@ -826,7 +849,8 @@ class TestScoreClips:
         for result in results.values():
             assert [s.clip_id for s in result.per_clip] == order
             assert result.failed == []
-            assert abs(result.aggregate.sdri_db) <= 1e-7
+            assert all(abs(s.metrics.sdri_db) <= 1e-7 for s in result.per_clip)
+            assert result.aggregate is None
 
 
     def test_unscorable_clip_fails_every_estimator_without_estimating(self):

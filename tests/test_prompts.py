@@ -132,4 +132,5 @@ def test_json_round_trip():
     t = builtin_template(PromptKind.MODIFIED_WAVCAPS)
     doc = json.loads(t.to_json())
     assert set(doc) == {"kind", "instruction_text", "requested_count"}
-    assert PromptTemplate.from_json(t.to_json()) == t
+    assert PromptTemplate(PromptKind(doc["kind"]), doc["instruction_text"],
+                          doc["requested_count"]) == t

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from capaug import audio
-from capaug.audio import StftParams, Waveform, mix, read_wav, tone_burst, white_noise, write_wav
+from capaug.audio import (StftParams, Waveform, mix, read_wav, stft, tone_burst, white_noise,
+                          write_wav)
 from capaug.harness import load_config
 from capaug.metrics import sdr
-from capaug.separation import (ExternalSeparatorError, SeparatorSpec, ensemble, irm_mask,
+from capaug.separation import (ExternalSeparatorError, SeparatorSpec, _irm_in_place, ensemble,
                                separate)
 from oracles import irm_mask_reference, oracle_irm_reference
 
@@ -27,6 +28,12 @@ def _tone_noise_mixture(seed=0, snr_db=0.0, duration_s=2.0, rate=16000):
     return mix(target, noise, snr_db)
 
 
+def _irm(target, interference, params=StftParams()):
+    """The mask oracle_irm applies: ``_irm_in_place`` on the stems' power spectra."""
+    return _irm_in_place(np.abs(stft(target, params)) ** 2,
+                         np.abs(stft(interference, params)) ** 2)
+
+
 class TestSpec:
     def test_kinds_validated(self):
         with pytest.raises(ValueError):
@@ -35,6 +42,12 @@ class TestSpec:
     def test_external_requires_all_placeholders(self):
         with pytest.raises(ValueError, match="missing"):
             SeparatorSpec(kind="external", command_template="run {MIXTURE} {OUT}")
+
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be positive and finite"):
+            SeparatorSpec(kind="external", command_template="sep {MIXTURE} {CAPTION} {OUT}",
+                          timeout_s=timeout_s)
 
     def test_round_trip(self):
         for spec in (
@@ -61,7 +74,7 @@ class TestIdentity:
 class TestOracleIrm:
     def test_mask_values_in_unit_interval(self):
         mixed = _tone_noise_mixture(seed=1)
-        mask = irm_mask(mixed.target, mixed.interference)
+        mask = _irm(mixed.target, mixed.interference)
         assert float(mask.min()) >= 0.0
         assert float(mask.max()) <= 1.0
 
@@ -100,7 +113,7 @@ class TestOracleIrm:
 
     def test_irm_mask_bits_match_the_formula(self):
         mixed = _tone_noise_mixture(seed=4)
-        assert np.array_equal(irm_mask(mixed.target, mixed.interference), irm_mask_reference(
+        assert np.array_equal(_irm(mixed.target, mixed.interference), irm_mask_reference(
             mixed.target.samples, mixed.interference.samples, 1024, 256))
 
     def test_bits_unchanged_when_no_scratch_is_kept(self, monkeypatch):
