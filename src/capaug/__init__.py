@@ -11,18 +11,34 @@ comparison reports.
 
 __version__ = "0.1.0"
 
-from .audio import MixResult, StftParams, Waveform, istft, mix, read_wav, stft, write_wav
+import importlib
+
 from .corpus import (ClipEntry, Manifest, SourceDataset, ingest_clotho, ingest_fsd50k,
                      ingest_wavcaps, read_manifest, sample_training_pair, summarize,
                      write_manifest)
 from .filtering import FilterReport, FilterRules, RejectReason, filter_captions, normalize, parse_numbered
-from .harness import (EvalItem, ExperimentConfig, make_synthetic_eval_set,
-                      run_augmentation, run_evaluation)
+from .harness import ExperimentConfig, run_augmentation
 from .llm import LlmClient, LlmConfig, MockLlmClient, RawResponse, mock_complete
-from .metrics import MetricsTriple, aggregate, sdr, sdri, si_sdr
 from .prompts import PromptKind, PromptTemplate, builtin_template, render
-from .reporting import ReportRow, render_report
-from .separation import SeparatorSpec, ensemble, separate
+from .reporting import MetricsTriple, ReportRow, render_report
+from .separation import SeparatorSpec, StftParams, ensemble, separate
+
+# names whose modules load NumPy, each resolved from its module on first use,
+# so that augmentation, config loading and the CLI start without it
+_LAZY_HOMES = {
+    "Waveform": "audio", "MixResult": "audio", "read_wav": "audio", "write_wav": "audio",
+    "mix": "audio", "stft": "audio", "istft": "audio",
+    "EvalItem": "evaluation", "run_evaluation": "evaluation",
+    "make_synthetic_eval_set": "evaluation",
+    "sdr": "metrics", "sdri": "metrics", "si_sdr": "metrics", "aggregate": "metrics",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY_HOMES:
+        return getattr(importlib.import_module(f".{_LAZY_HOMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

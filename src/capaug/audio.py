@@ -13,12 +13,14 @@ import mmap
 import struct
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import DEFAULT_SNR_RANGE_DB  # noqa: F401  re-exported: audio.DEFAULT_SNR_RANGE_DB still works
+from .separation import StftParams
+
 PEAK_LIMIT = 0.99
-DEFAULT_SNR_RANGE_DB = (-10.0, 10.0)
 
 
 class WavFormatError(ValueError):
@@ -52,18 +54,6 @@ class Waveform:
 
     def energy(self) -> float:
         return float(np.sum(self.samples ** 2))
-
-
-@dataclass(frozen=True)
-class StftParams:
-    window_size: int = 1024
-    hop: int = 256
-
-    def __post_init__(self):
-        if self.window_size < 2 or self.window_size & (self.window_size - 1):
-            raise ValueError("window_size must be a power of two")
-        if not 0 < self.hop <= self.window_size:
-            raise ValueError("hop must be in (0, window_size]")
 
 
 _FORMAT_PCM = 0x0001

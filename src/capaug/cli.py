@@ -14,12 +14,12 @@ import logging
 import sys
 from pathlib import Path
 
-from . import corpus
-from .audio import mix, read_wav, write_wav
+import capaug  # its audio names load NumPy on first use, so only audio commands pay it
+
+from . import corpus, harness
 from .filtering import FilterRules, filter_captions, parse_numbered
-from .harness import (DEFAULT_EVAL_EPSILON, ConfigError, EvalItem, ExperimentConfig,
-                      HarnessError, load_config, run_augmentation, score_clips,
-                      write_per_clip_csv)
+from .harness import (DEFAULT_EVAL_EPSILON, ConfigError, ExperimentConfig, HarnessError,
+                      load_config, run_augmentation)
 from .llm import LlmConfig
 from .prompts import PromptKind, builtin_template
 from .reporting import ReportRow, render_report
@@ -127,7 +127,10 @@ def cmd_filter(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.responses}:{line_no}: {exc}") from exc
             if not (isinstance(doc, dict) and "clip_id" in doc
                     and isinstance(doc.get("response_text"), str)):
                 raise ConfigError(f"{args.responses}:{line_no}: expected "
@@ -152,14 +155,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    target = read_wav(args.target)
-    interference = read_wav(args.interference)
-    result = mix(target, interference, args.snr)
-    write_wav(args.out, result.mixture)
+    target = capaug.read_wav(args.target)
+    interference = capaug.read_wav(args.interference)
+    result = capaug.mix(target, interference, args.snr)
+    capaug.write_wav(args.out, result.mixture)
     if args.out_target:
-        write_wav(args.out_target, result.target)
+        capaug.write_wav(args.out_target, result.target)
     if args.out_interference:
-        write_wav(args.out_interference, result.interference)
+        capaug.write_wav(args.out_interference, result.interference)
     print(f"mixed at {args.snr:+.1f} dB SNR (gain {result.gain:.6f}, "
           f"rescale {result.rescale:.6f}) -> {args.out}")
     return EXIT_OK
@@ -167,12 +170,12 @@ def cmd_mix(args) -> int:
 
 def cmd_separate(args) -> int:
     spec = load_config(args.spec, SeparatorSpec.from_dict)
-    mixture = read_wav(args.mixture)
+    mixture = capaug.read_wav(args.mixture)
     oracle_sources = None
     if args.target and args.interference:
-        oracle_sources = (read_wav(args.target), read_wav(args.interference))
+        oracle_sources = (capaug.read_wav(args.target), capaug.read_wav(args.interference))
     estimate = separate(spec, mixture, args.caption, oracle_sources)
-    write_wav(args.out, estimate)
+    capaug.write_wav(args.out, estimate)
     print(f"wrote estimate to {args.out}")
     return EXIT_OK
 
@@ -186,15 +189,17 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"no WAV files in {est_dir}")
 
     # read one clip at a time, as it is scored
-    def load(name: str) -> EvalItem:
+    def load(name: str) -> harness.EvalItem:
         ref_path, mix_path = ref_dir / name, mix_dir / name
         if not ref_path.exists() or not mix_path.exists():
             raise ConfigError(f"missing reference or mixture for {name}")
-        return EvalItem(Path(name).stem, read_wav(mix_path), read_wav(ref_path), caption="")
+        return harness.EvalItem(Path(name).stem, capaug.read_wav(mix_path),
+                                capaug.read_wav(ref_path), caption="")
 
-    estimators = {str(est_dir): lambda item, _: read_wav(est_dir / f"{item.clip_id}.wav")}
-    [result] = score_clips(map(load, names), estimators, epsilon).values()
-    write_per_clip_csv(Path(args.out), result.per_clip)
+    estimators = {str(est_dir):
+                  lambda item, _: capaug.read_wav(est_dir / f"{item.clip_id}.wav")}
+    [result] = harness.score_clips(map(load, names), estimators, epsilon).values()
+    harness.write_per_clip_csv(Path(args.out), result.per_clip)
     if result.failed:
         print(f"failed clips: {' '.join(result.failed)}", file=sys.stderr)
     print(f"evaluated {len(result.per_clip)} of {len(names)} clips -> {args.out}")
@@ -202,9 +207,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    estimates = [read_wav(p) for p in args.inputs]
+    estimates = [capaug.read_wav(p) for p in args.inputs]
     combined = ensemble(estimates, args.weights)
-    write_wav(args.out, combined)
+    capaug.write_wav(args.out, combined)
     print(f"ensembled {len(estimates)} estimates -> {args.out}")
     return EXIT_OK
 
@@ -232,8 +237,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` each subparser, that takes no
+    abbreviated option: ``--config`` is never read as ``--config-hash``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capaug",
         description="Caption augmentation and separation-evaluation toolkit")
     parser.add_argument("--config", default=None, help="experiment config JSON")
@@ -244,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the global flags are also accepted after the subcommand; SUPPRESS keeps a
     # subcommand parse from clobbering values given before it
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out-dir", default=argparse.SUPPRESS)

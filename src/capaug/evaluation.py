@@ -1,0 +1,270 @@
+"""Separation evaluation: synthetic eval sets, clip-by-clip scoring and reports.
+
+This is the one capaug module besides ``audio`` and ``metrics`` that loads
+NumPy when it is imported; ``capaug`` and ``capaug.harness`` load it on the
+first use of one of its names, so augmentation never does. Runs are
+deterministic for a fixed config and eval set: results are sorted by clip id
+after scoring, and every artifact is written in a canonical form.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+import operator
+import os
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+from .audio import Waveform, mix, tone_burst, white_noise, write_wav
+from .harness import (DEFAULT_SNR_RANGE_DB, ConfigError, EnsembleDef, ExperimentConfig,
+                      _map_in_order)
+from .metrics import aggregate, scorer
+from .reporting import MetricsTriple, ReportRow, render_report
+from .separation import (EXTERNAL_PROCESS_BOUND, KIND_EXTERNAL, ExternalSeparatorError,
+                         SeparatorSpec, ensemble, separate)
+
+logger = logging.getLogger(__name__)
+
+
+@dataclass
+class EvalItem:
+    clip_id: str
+    mixture: Waveform
+    reference: Waveform
+    caption: str
+    interference: Waveform | None = None
+
+
+@dataclass
+class ClipScore:
+    clip_id: str
+    metrics: MetricsTriple
+
+
+@dataclass
+class SeparatorResult:
+    name: str
+    per_clip: list[ClipScore] = field(default_factory=list)
+    failed: list[str] = field(default_factory=list)
+    aggregate: MetricsTriple | None = None
+
+
+@dataclass
+class EvaluationResult:
+    separators: dict[str, SeparatorResult]
+    config_hash: str
+
+    def report_rows(self) -> list[ReportRow]:
+        rows = []
+        for name, result in self.separators.items():
+            if result.aggregate is not None:
+                rows.append(ReportRow(model=name, training_dataset="-",
+                                      caption_augmentation="-",
+                                      metrics=result.aggregate))
+        return rows
+
+
+def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
+    lines = ["clip_id,sdr,sdri,si_sdr"]
+    for score in scores:
+        t = score.metrics
+        lines.append(f"{score.clip_id},{t.sdr_db:.6f},{t.sdri_db:.6f},{t.si_sdr_db:.6f}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def score_clips(items, estimators, epsilon: float, est_dir: Path | None = None,
+                workers: int = 0) -> dict[str, SeparatorResult]:
+    """Score every estimator on each item, clip by clip, in the order given.
+
+    ``estimators`` maps a name to ``estimate_of(item, estimates)``, where
+    ``estimates`` holds the estimates earlier names made of the same clip.
+    ``items`` is any iterable of :class:`EvalItem`, read once. A clip whose
+    estimate or score raises ``ExternalSeparatorError`` or ``ValueError`` is
+    listed in that name's ``failed``; a clip whose mixture cannot be scored
+    (for example a silent reference with ``epsilon=0``) is listed in every
+    name's, and no estimate of it is made. With ``est_dir``, estimates are
+    written to ``est_dir/<name>/`` as soon as they are scored. A clip's
+    estimates are freed once it is done; ``workers`` > 0 runs that many clips
+    at once. No aggregate is set: :func:`run_evaluation` forms it in clip_id order.
+    """
+    results = {name: SeparatorResult(name=name) for name in estimators}
+    # per-clip paths through os.path: pathlib interns each component, and a
+    # new interned name per clip makes the interpreter rebuild its ~1 MB table
+    # of interned strings now and then on whichever thread interns, where it
+    # can pin the top of that thread's malloc arena for good
+    est_dirs = {}
+    if est_dir is not None:
+        for name in estimators:
+            (est_dir / name).mkdir(parents=True, exist_ok=True)
+            est_dirs[name] = os.path.join(est_dir, name)
+
+    # a function, not a loop body, so that a clip's estimates are freed
+    # before the next clip's are made
+    def step(item: EvalItem) -> tuple[str, dict[str, MetricsTriple]]:
+        estimates, triples = {}, {}
+        try:
+            score = scorer(item.mixture, item.reference, epsilon)
+        except ValueError as exc:
+            logger.warning("clip %s cannot be scored: %s", item.clip_id, exc)
+            return item.clip_id, triples
+        for name, estimate_of in estimators.items():
+            try:
+                estimate = estimate_of(item, estimates)
+                triples[name] = score(estimate)
+            except (ExternalSeparatorError, ValueError) as exc:
+                logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
+                continue
+            estimates[name] = estimate
+            if est_dir is not None:
+                write_wav(os.path.join(est_dirs[name], item.clip_id + ".wav"), estimate)
+        return item.clip_id, triples
+
+    for clip_id, triples in _map_in_order(step, items, workers):
+        for name, result in results.items():
+            if name in triples:
+                result.per_clip.append(ClipScore(clip_id, triples[name]))
+            else:
+                result.failed.append(clip_id)
+    for name, result in results.items():
+        if result.failed:
+            logger.warning("%s failed on %d clips: %s", name, len(result.failed),
+                           result.failed)
+    return results
+
+
+def run_evaluation(config: ExperimentConfig,
+                   eval_set: Iterable[EvalItem]) -> EvaluationResult:
+    """Evaluate every configured separator and ensemble on an eval set.
+
+    Clip by clip, each separator and then each ensemble makes and scores its
+    estimate, which is written at once when an output directory is configured.
+    ``eval_set`` is read once, in its own order; the results, metrics CSVs
+    and report are those of the clips in clip_id order. A separator or
+    scoring failure on a clip (for example a silent reference with
+    ``epsilon=0``) excludes that clip from the separator's aggregate and is
+    reported, not fatal.
+    """
+    if not config.separators:
+        raise ConfigError("no separators configured")
+    out_dir = Path(config.out_dir) if config.out_dir else None
+
+    def run_separator(spec: SeparatorSpec, item: EvalItem, _estimates) -> Waveform:
+        # oracle_irm needs the stems; separate() rejects it when they are missing
+        sources = None if item.interference is None else (item.reference, item.interference)
+        return separate(spec, item.mixture, item.caption, sources)
+
+    def combine(definition: EnsembleDef, item: EvalItem, estimates: dict) -> Waveform:
+        missing = [m for m in definition.members if m not in estimates]
+        if missing:
+            raise ValueError(f"no estimate from members {missing}")
+        return ensemble([estimates[m] for m in definition.members], definition.weights)
+
+    estimators = {name: partial(run_separator, spec) for name, spec in config.separators}
+    estimators.update((name, partial(combine, definition))
+                      for name, definition in config.ensembles.items())
+    external = any(spec.kind == KIND_EXTERNAL for _, spec in config.separators)
+    results = score_clips(eval_set, estimators, config.epsilon,
+                          None if out_dir is None else out_dir / "estimates",
+                          EXTERNAL_PROCESS_BOUND if external else 0)
+    # sorted outputs, not inputs, so that the eval set is never held whole;
+    # the aggregate then sums in clip_id order, whatever order the clips came in
+    for result in results.values():
+        result.per_clip.sort(key=lambda s: s.clip_id)
+        result.failed.sort()
+        if result.per_clip:
+            result.aggregate = aggregate([s.metrics for s in result.per_clip],
+                                         config.clamp_db)
+    evaluation = EvaluationResult(separators=results, config_hash=config.hash())
+    if out_dir is not None:
+        metrics_dir = out_dir / "metrics"
+        metrics_dir.mkdir(parents=True, exist_ok=True)
+        for name, result in results.items():
+            write_per_clip_csv(metrics_dir / f"{name}.csv", result.per_clip)
+        rows = evaluation.report_rows()
+        if rows:
+            report = render_report(rows, config_hash=evaluation.config_hash)
+            report += (f"eval epsilon: {config.epsilon:g} (library default 0), "
+                       f"clamp: +/-{config.clamp_db:g} dB\n")
+            (out_dir / "report.md").write_text(report, encoding="utf-8")
+    return evaluation
+
+
+_EVAL_CAPTIONS = [
+    "a steady tone pulses on and off",
+    "a clear beep repeats over noise",
+    "a sustained electronic tone cuts through static",
+    "a bright tone alternates with silence",
+]
+
+
+@dataclass(frozen=True)
+class _SyntheticEvalSet(Sequence):
+    """A read-only sequence of synthetic clips, each made when it is read.
+
+    Clip ``i`` depends only on ``(seed, i)``, so a read costs one synthesis
+    and nothing is kept: each read returns a fresh :class:`EvalItem`.
+    """
+    n_clips: int
+    seed: int
+    sample_rate: int
+    duration_s: float
+    snr_db: float | None
+    snr_range: tuple[float, float]
+
+    def __len__(self) -> int:
+        return self.n_clips
+
+    def __getitem__(self, index):
+        # range's indexing: negative indices, slices, IndexError past the end
+        picked = range(self.n_clips)[index]
+        if isinstance(picked, range):
+            return [self._clip(i) for i in picked]
+        return self._clip(picked)
+
+    def _clip(self, i: int) -> EvalItem:
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, i]))
+        freq = float(rng.uniform(200.0, 4000.0))
+        target = tone_burst(freq, self.duration_s, self.sample_rate,
+                            burst_period_s=float(rng.uniform(0.3, 0.8)))
+        interference = white_noise(self.duration_s, self.sample_rate, rng)
+        snr_db = self.snr_db
+        if snr_db is None:
+            snr_db = float(rng.uniform(*self.snr_range))
+        mixed = mix(target, interference, snr_db)
+        return EvalItem(
+            clip_id=f"clip_{i:03d}",
+            mixture=mixed.mixture,
+            reference=mixed.target,
+            interference=mixed.interference,
+            caption=_EVAL_CAPTIONS[i % len(_EVAL_CAPTIONS)],
+        )
+
+
+def make_synthetic_eval_set(n_clips: int, seed: int = 0, sample_rate: int = 16000,
+                            duration_s: float = 4.0, snr_db: float | None = 0.0,
+                            snr_range: tuple[float, float] = DEFAULT_SNR_RANGE_DB,
+                            ) -> Sequence[EvalItem]:
+    """Desk-scale eval clips: tone-burst targets in white-noise interference.
+
+    With ``snr_db=None`` the per-clip SNR is drawn uniformly from
+    ``snr_range`` using the seeded generator. The result is a read-only
+    sequence that synthesises each clip when it is read, so evaluation
+    holds only the clips in flight; ``list()`` it to keep or edit the items.
+    Bad arguments raise ``ValueError`` here, before any clip is made.
+    """
+    n_clips = operator.index(n_clips)
+    if n_clips < 0:
+        raise ValueError("n_clips must be >= 0")
+    if not sample_rate > 0:
+        raise ValueError("sample_rate must be positive")
+    if not (math.isfinite(duration_s) and round(duration_s * sample_rate) >= 1):
+        raise ValueError("duration_s must give at least one sample")
+    low, high = snr_range if snr_db is None else (snr_db, snr_db)
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise ValueError("snr_db must be finite, or None with a finite (low, high) snr_range")
+    return _SyntheticEvalSet(n_clips, seed, sample_rate, duration_s, snr_db, snr_range)

@@ -12,34 +12,15 @@ the evaluation harness passes ``eps=1e-8`` to keep aggregates finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .audio import Waveform
-
-DEFAULT_CLAMP_DB = 60.0
+from .harness import DEFAULT_CLAMP_DB
+from .reporting import MetricsTriple
 
 Signal = Union[Waveform, np.ndarray, list]
-
-
-@dataclass(frozen=True)
-class MetricsTriple:
-    sdr_db: float
-    sdri_db: float
-    si_sdr_db: float
-
-    def clamped(self, clamp_db: float) -> "MetricsTriple":
-        return MetricsTriple(
-            sdr_db=_clamp(self.sdr_db, clamp_db),
-            sdri_db=_clamp(self.sdri_db, clamp_db),
-            si_sdr_db=_clamp(self.si_sdr_db, clamp_db),
-        )
-
-
-def _clamp(value: float, clamp_db: float) -> float:
-    return min(max(value, -clamp_db), clamp_db)
 
 
 def _samples(signal: Signal) -> np.ndarray:

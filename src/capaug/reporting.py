@@ -1,14 +1,31 @@
-"""Comparison-report rendering for aggregate metric rows."""
+"""Comparison-report rendering for aggregate metric rows, and the metric triple
+they hold."""
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
 
-from .metrics import MetricsTriple
-
 FORMAT_MARKDOWN = "markdown"
 FORMAT_CSV = "csv"
+
+
+@dataclass(frozen=True)
+class MetricsTriple:
+    sdr_db: float
+    sdri_db: float
+    si_sdr_db: float
+
+    def clamped(self, clamp_db: float) -> "MetricsTriple":
+        return MetricsTriple(
+            sdr_db=_clamp(self.sdr_db, clamp_db),
+            sdri_db=_clamp(self.sdri_db, clamp_db),
+            si_sdr_db=_clamp(self.si_sdr_db, clamp_db),
+        )
+
+
+def _clamp(value: float, clamp_db: float) -> float:
+    return min(max(value, -clamp_db), clamp_db)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ Three separator kinds are supported:
   upper-bound reference that needs the target/interference pair;
 * ``external`` shells out to any command that reads a mixture WAV and a
   caption and writes an estimate WAV, which is how trained checkpoints plug in.
+
+Every experiment config imports this module for its separator specs, so
+importing it does not load NumPy: the oracle, external and ensemble paths
+import NumPy and :mod:`capaug.audio` when they first run.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .audio import StftParams, Waveform, read_wav, resynthesize_masked, write_wav
+    from .audio import Waveform
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +49,18 @@ KIND_EXTERNAL = "external"
 
 class ExternalSeparatorError(RuntimeError):
     """External command failed, timed out, or produced unreadable output."""
+
+
+@dataclass(frozen=True)
+class StftParams:
+    window_size: int = 1024
+    hop: int = 256
+
+    def __post_init__(self):
+        if self.window_size < 2 or self.window_size & (self.window_size - 1):
+            raise ValueError("window_size must be a power of two")
+        if not 0 < self.hop <= self.window_size:
+            raise ValueError("hop must be in (0, window_size]")
 
 
 @dataclass(frozen=True)
@@ -86,14 +104,18 @@ class SeparatorSpec:
 def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
     """|S_t|^2 / (|S_t|^2 + |S_i|^2 + eps) from the two power spectra, written
     over ``p_t`` (``p_i`` is overwritten too)."""
-    np.add(p_t, p_i, out=p_i)
-    np.add(p_i, MASK_EPS, out=p_i)
-    return np.divide(p_t, p_i, out=p_t)
+    p_i += p_t
+    p_i += MASK_EPS
+    p_t /= p_i
+    return p_t
 
 
 def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Waveform:
+    import numpy as np
+
+    from .audio import Waveform, read_wav, write_wav
     with tempfile.TemporaryDirectory(prefix="capaug_sep_") as tmp:
-        # os.path, not pathlib: see score_clips in capaug.harness
+        # os.path, not pathlib: see score_clips in capaug.evaluation
         mixture_path = os.path.join(tmp, "mixture.wav")
         out_path = os.path.join(tmp, "estimate.wav")
         write_wav(mixture_path, mixture)
@@ -143,6 +165,7 @@ def separate(spec: SeparatorSpec, mixture: Waveform, caption: str,
         for stem in (target, interference):
             if len(stem) != len(mixture) or stem.sample_rate != mixture.sample_rate:
                 raise ValueError("oracle sources must align with the mixture")
+        from .audio import resynthesize_masked
         return resynthesize_masked(mixture, (target, interference), _irm_in_place,
                                    spec.stft_params)
     return _run_external(spec, mixture, caption)
@@ -152,6 +175,9 @@ def ensemble(estimates: list[Waveform],
              weights: list[float] | tuple[float, ...] | None = None) -> Waveform:
     """Weighted sum of estimates with weights normalized to sum to one
     (equal weights when none are given)."""
+    import numpy as np
+
+    from .audio import Waveform
     if not estimates:
         raise ValueError("need at least one estimate")
     weights = [1.0] * len(estimates) if weights is None else [float(w) for w in weights]

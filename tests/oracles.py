@@ -157,7 +157,7 @@ def synthetic_eval_set_reference(n_clips, seed=0, sample_rate=16000, duration_s=
     """The synthetic eval set built eagerly, as one list, by the loop the library
     first used: clip ``i`` from ``SeedSequence([seed, i])``."""
     from capaug.audio import mix, tone_burst, white_noise
-    from capaug.harness import _EVAL_CAPTIONS, EvalItem
+    from capaug.evaluation import _EVAL_CAPTIONS, EvalItem
     items = []
     for i in range(n_clips):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))

@@ -207,6 +207,16 @@ class TestFilter:
                            "--out", tmp_path / "o.jsonl") == 2
             assert capsys.readouterr().err.startswith(f"config error: {responses}:2:")
 
+    def test_undecodable_line_names_its_file_and_line(self, tmp_path, capsys):
+        responses = tmp_path / "responses.jsonl"
+        good = json.dumps({"clip_id": "a", "response_text": "① A dog barks outside."})
+        responses.write_text(good + "\n\n" + good + "\n{bad\n")
+        assert run_cli("filter", "--responses", responses,
+                       "--out", tmp_path / "o.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {responses}:4: Expecting property name")
+        assert not (tmp_path / "o.jsonl").exists()
+
 
 class TestConfigFiles:
     @pytest.mark.parametrize("option, doc", [
@@ -412,3 +422,17 @@ class TestReport:
         assert run_cli("report", "--rows", rows, "--out", out) == 2
         assert "trainng_dataset" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--rows", "rows.json", "--config", "bad.json"],  # not --config-hash
+        ["report", "--rows", "rows.json", "--form", "csv"],
+        ["stats", "--mani", "m.json"],
+    ])
+    def test_abbreviated_option_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("rows.json").write_text(json.dumps([
+            {"model": "m", "sdr": 0.0, "sdri": 0.0, "si_sdr": 0.0}]))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capaug.harness as harness
-from capaug import corpus, filtering
+from capaug import corpus, evaluation, filtering
 from capaug.audio import Waveform, read_wav
 from capaug.corpus import Manifest, new_manifest, read_manifest
 from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig,
@@ -629,7 +629,7 @@ class TestRunEvaluation:
         # "oracle" is an ensemble member, yet its estimate goes once its clip is done
         alive_max = 0
         oracle_estimates = []
-        real_separate = harness.separate
+        real_separate = evaluation.separate
 
         def recording_separate(spec, *args):
             nonlocal alive_max
@@ -640,7 +640,7 @@ class TestRunEvaluation:
                                 sum(ref() is not None for ref in oracle_estimates))
             return estimate
 
-        monkeypatch.setattr(harness, "separate", recording_separate)
+        monkeypatch.setattr(evaluation, "separate", recording_separate)
         items = make_synthetic_eval_set(4, seed=7, duration_s=0.25)
         result = run_evaluation(_eval_config(
             tmp_path, ensembles={"pair": EnsembleDef(members=("identity", "oracle"))}), items)
@@ -771,7 +771,7 @@ class TestRunEvaluation:
     def test_clips_in_memory_stay_bounded_with_external_separator(self, tmp_path,
                                                                   monkeypatch):
         live, most_alive = [], 0
-        real_mix = harness.mix
+        real_mix = evaluation.mix
 
         def counting_mix(*args):
             nonlocal most_alive
@@ -780,7 +780,7 @@ class TestRunEvaluation:
             most_alive = max(most_alive, sum(ref() is not None for ref in live))
             return mixed
 
-        monkeypatch.setattr(harness, "mix", counting_mix)
+        monkeypatch.setattr(evaluation, "mix", counting_mix)
         script = tmp_path / "ext_identity.sh"
         script.write_text('exec cp -- "$1" "$3"\n')
         external = SeparatorSpec(kind="external",
