@@ -21,15 +21,15 @@ from .harness import ExperimentConfig, run_augmentation
 from .llm import LlmClient, LlmConfig, MockLlmClient, RawResponse, mock_complete
 from .prompts import PromptKind, PromptTemplate, builtin_template, render
 from .reporting import MetricsTriple, ReportRow, render_report
-from .separation import SeparatorSpec, StftParams, ensemble, separate
+from .separation import SeparatorSpec, StftParams
 
 # names whose modules load NumPy, each resolved from its module on first use,
 # so that augmentation, config loading and the CLI start without it
 _LAZY_HOMES = {
     "Waveform": "audio", "MixResult": "audio", "read_wav": "audio", "write_wav": "audio",
     "mix": "audio", "stft": "audio", "istft": "audio",
-    "EvalItem": "evaluation", "run_evaluation": "evaluation",
-    "make_synthetic_eval_set": "evaluation",
+    "EvalItem": "evaluation", "run_evaluation": "evaluation", "separate": "evaluation",
+    "make_synthetic_eval_set": "evaluation", "ensemble": "evaluation",
     "sdr": "metrics", "sdri": "metrics", "si_sdr": "metrics", "aggregate": "metrics",
 }
 

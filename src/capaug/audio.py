@@ -1,4 +1,4 @@
-"""Mono WAV I/O, SNR-controlled mixing, and STFT/ISTFT.
+"""Mono WAV I/O, SNR-controlled mixing, STFT/ISTFT and the oracle ideal-ratio mask.
 
 All operations are deterministic and work on float64 sample buffers in
 [-1, 1)-ish range. Only mono WAV files are supported: PCM16 and IEEE float32
@@ -12,15 +12,14 @@ import math
 import mmap
 import struct
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import DEFAULT_SNR_RANGE_DB  # noqa: F401  re-exported: audio.DEFAULT_SNR_RANGE_DB still works
 from .separation import StftParams
 
 PEAK_LIMIT = 0.99
+MASK_EPS = 1e-12
 
 
 class WavFormatError(ValueError):
@@ -191,6 +190,17 @@ _scratch_arrays = threading.local()
 _SCRATCH_MAX_BYTES = 1 << 24
 
 
+def _mapped(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A new array on an anonymous mmap, not malloc, so its pages go back to the
+    kernel when it is freed, and a scratch set when its thread ends. From
+    malloc, an ended thread's set (about 8 MB for a 4 s clip) stayed free and
+    resident in its malloc arena, which glibc hands on to a later thread; peak
+    RSS stepped by that much whenever clips ran on an arena not used before."""
+    count = math.prod(shape)
+    nbytes = count * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), dtype, count).reshape(shape)
+
+
 def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """This thread's reusable array ``name``, reallocated when the shape or dtype changes.
 
@@ -199,15 +209,8 @@ def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """
     array = getattr(_scratch_arrays, name, None)
     if array is None or array.shape != shape or array.dtype != dtype:
-        # An anonymous mmap, not malloc, so the pages go back to the kernel
-        # when the thread ends. From malloc, an ended thread's set (about 8 MB
-        # for a 4 s clip) stayed free and resident in its malloc arena, which
-        # glibc hands on to a later thread; peak RSS stepped by that much
-        # whenever clips ran on an arena not used before.
-        count = math.prod(shape)
-        nbytes = count * np.dtype(dtype).itemsize
-        array = np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), dtype, count).reshape(shape)
-        if nbytes <= _SCRATCH_MAX_BYTES:
+        array = _mapped(shape, dtype)
+        if array.nbytes <= _SCRATCH_MAX_BYTES:
             setattr(_scratch_arrays, name, array)
     return array
 
@@ -281,14 +284,15 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 def _synthesis_norm(window: np.ndarray, hop: int,
                     n_frames: int) -> tuple[np.ndarray, np.ndarray]:
     """``(norm > 1e-12, max(norm, 1e-12))`` of the overlap-added squared window,
-    padding dropped; kept per thread for the last ``(window, hop, n_frames)``,
-    within the scratch size limit."""
+    padding dropped, in mapped arrays; kept per thread for the last
+    ``(window, hop, n_frames)``, within the scratch size limit."""
     key = (window.size, hop, n_frames)
     cached = getattr(_scratch_arrays, "norm", None)
     if cached is None or cached[0] != key:
         norm = _overlap_add(np.broadcast_to(window ** 2, (n_frames, window.size)),
                             hop)[window.size:]
-        cached = (key, norm > 1e-12, np.maximum(norm, 1e-12))
+        cached = (key, np.greater(norm, 1e-12, out=_mapped(norm.shape, np.bool_)),
+                  np.maximum(norm, 1e-12, out=_mapped(norm.shape)))
         if cached[2].nbytes <= _SCRATCH_MAX_BYTES:
             _scratch_arrays.norm = cached
     return cached[1], cached[2]
@@ -314,23 +318,29 @@ def istft(matrix: np.ndarray, params: StftParams | None = None,
     return Waveform(np.where(valid, np.divide(out, divisor, out=out), 0.0), sample_rate)
 
 
-def resynthesize_masked(mixture: Waveform, sources: tuple[Waveform, Waveform],
-                        mask_in_place: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        params: StftParams) -> Waveform:
-    """``istft(mask * stft(mixture))`` with ``mask = mask_in_place(p_0, p_1)``.
+def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
+    """|S_t|^2 / (|S_t|^2 + |S_i|^2 + eps) from the two power spectra, written
+    over ``p_t`` (``p_i`` is overwritten too)."""
+    p_i += p_t
+    p_i += MASK_EPS
+    p_t /= p_i
+    return p_t
 
-    ``p_k`` is ``|stft(sources[k])|**2``, frame-major; ``mask_in_place`` may
-    overwrite either and must return the mask in one of them. The three
-    spectra pass through one of this thread's scratch arrays and the two power
-    spectra live in two more, so nothing here is allocated per call.
+
+def oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,
+               params: StftParams) -> Waveform:
+    """``istft(mask * stft(mixture))`` with the ideal ratio mask of the two stems.
+
+    The three spectra pass through one of this thread's scratch arrays and the
+    stems' power spectra live in two more, so nothing here is allocated per call.
     """
     shape = _spectrum_shape(len(mixture), params)
     spectrum = _scratch("spectrum", shape, np.complex128)
     powers = _scratch("power_0", shape), _scratch("power_1", shape)
-    for source, power in zip(sources, powers):
+    for source, power in zip((target, interference), powers):
         np.abs(_stft_into(source.samples, params, spectrum), out=power)
         np.square(power, out=power)
-    mask = mask_in_place(*powers)
+    mask = _irm_in_place(*powers)
     masked = np.multiply(mask, _stft_into(mixture.samples, params, spectrum), out=spectrum)
     return istft(masked.T, params, length=len(mixture), sample_rate=mixture.sample_rate)
 

@@ -23,7 +23,7 @@ from .harness import (DEFAULT_EVAL_EPSILON, ConfigError, ExperimentConfig, Harne
 from .llm import LlmConfig
 from .prompts import PromptKind, builtin_template
 from .reporting import ReportRow, render_report
-from .separation import SeparatorSpec, ensemble, separate
+from .separation import SeparatorSpec
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -174,7 +174,7 @@ def cmd_separate(args) -> int:
     oracle_sources = None
     if args.target and args.interference:
         oracle_sources = (capaug.read_wav(args.target), capaug.read_wav(args.interference))
-    estimate = separate(spec, mixture, args.caption, oracle_sources)
+    estimate = capaug.separate(spec, mixture, args.caption, oracle_sources)
     capaug.write_wav(args.out, estimate)
     print(f"wrote estimate to {args.out}")
     return EXIT_OK
@@ -208,7 +208,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ensemble(args) -> int:
     estimates = [capaug.read_wav(p) for p in args.inputs]
-    combined = ensemble(estimates, args.weights)
+    combined = capaug.ensemble(estimates, args.weights)
     capaug.write_wav(args.out, combined)
     print(f"ensembled {len(estimates)} estimates -> {args.out}")
     return EXIT_OK

@@ -70,12 +70,19 @@ class ClipEntry:
     def from_dict(cls, doc: dict) -> "ClipEntry":
         """The entry a manifest document describes.
 
-        A wrongly typed field raises ``ValueError`` naming the clip and the
-        field: a ``clip_id`` that is not a string, an ``audio_path`` that is
-        neither a string nor null, or captions that are not a list of strings.
+        A missing or wrongly typed field raises ``ValueError`` naming the clip
+        and the field: a ``clip_id`` that is not a string, an ``audio_path``
+        that is neither a string nor null, or captions that are not a list of
+        strings. So does an entry that is not an object.
         """
-        clip_id, audio_path = doc["clip_id"], doc.get("audio_path")
-        original, augmented = doc["original_captions"], doc.get("augmented_captions", [])
+        if not isinstance(doc, dict):
+            raise ValueError(f"manifest entry {doc!r} is not an object")
+        try:
+            clip_id, original, source = (doc["clip_id"], doc["original_captions"],
+                                         doc["source_dataset"])
+        except KeyError as exc:
+            raise ValueError(f"clip {doc.get('clip_id')!r}: missing field {exc}") from exc
+        audio_path, augmented = doc.get("audio_path"), doc.get("augmented_captions", [])
         if not isinstance(clip_id, str):
             raise ValueError(f"clip {clip_id!r}: clip_id must be a string")
         if not (audio_path is None or isinstance(audio_path, str)):
@@ -86,7 +93,7 @@ class ClipEntry:
         return cls(
             clip_id=clip_id,
             audio_path=audio_path,
-            source_dataset=SourceDataset(doc["source_dataset"]),
+            source_dataset=SourceDataset(source),
             original_captions=list(original),
             augmented_captions=list(augmented),
         )
@@ -184,9 +191,21 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def read_manifest(path) -> Manifest:
+    """The manifest at ``path``. A document that is not one (no ``entries``
+    list, a ``metadata`` that is not an object, a malformed entry) raises
+    ``ValueError`` naming ``path``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = [ClipEntry.from_dict(e) for e in doc["entries"]]
-    return Manifest(entries=entries, metadata=dict(doc.get("metadata", {})))
+    if not (isinstance(doc, dict) and "entries" in doc):
+        raise ValueError(f"{path}: not a manifest: missing field 'entries'")
+    if not isinstance(doc["entries"], list):
+        raise ValueError(f"{path}: 'entries' must be a list")
+    if not isinstance(doc.get("metadata", {}), dict):
+        raise ValueError(f"{path}: 'metadata' must be an object")
+    try:
+        return Manifest(entries=[ClipEntry.from_dict(e) for e in doc["entries"]],
+                        metadata=dict(doc.get("metadata", {})))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def ingest_clotho(csv_path) -> list[ClipEntry]:

@@ -1,4 +1,4 @@
-"""Separation evaluation: synthetic eval sets, clip-by-clip scoring and reports.
+"""Separation evaluation: separators, ensembles, synthetic eval sets, scoring, reports.
 
 This is the one capaug module besides ``audio`` and ``metrics`` that loads
 NumPy when it is imported; ``capaug`` and ``capaug.harness`` load it on the
@@ -13,6 +13,11 @@ import logging
 import math
 import operator
 import os
+import re
+import shlex
+import subprocess
+import tempfile
+import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,15 +25,104 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, mix, tone_burst, white_noise, write_wav
+from .audio import Waveform, mix, oracle_irm, read_wav, tone_burst, white_noise, write_wav
 from .harness import (DEFAULT_SNR_RANGE_DB, ConfigError, EnsembleDef, ExperimentConfig,
                       _map_in_order)
 from .metrics import aggregate, scorer
 from .reporting import MetricsTriple, ReportRow, render_report
-from .separation import (EXTERNAL_PROCESS_BOUND, KIND_EXTERNAL, ExternalSeparatorError,
-                         SeparatorSpec, ensemble, separate)
+from .separation import KIND_EXTERNAL, KIND_IDENTITY, KIND_ORACLE_IRM, SeparatorSpec
 
 logger = logging.getLogger(__name__)
+
+_PLACEHOLDER_RE = re.compile(r"\{(MIXTURE|CAPTION|OUT)\}")
+EXTERNAL_PROCESS_BOUND = 2
+
+# caps concurrent external subprocesses across all callers in this process
+_external_slots = threading.BoundedSemaphore(EXTERNAL_PROCESS_BOUND)
+
+
+class ExternalSeparatorError(RuntimeError):
+    """External command failed, timed out, or produced unreadable output."""
+
+
+def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Waveform:
+    with tempfile.TemporaryDirectory(prefix="capaug_sep_") as tmp:
+        # os.path, not pathlib: see score_clips
+        mixture_path = os.path.join(tmp, "mixture.wav")
+        out_path = os.path.join(tmp, "estimate.wav")
+        write_wav(mixture_path, mixture)
+        # split first, substitute per token: captions with spaces stay one argv entry;
+        # one pass per token, so a caption containing "{OUT}" stays literal text
+        values = {"MIXTURE": mixture_path, "CAPTION": caption, "OUT": out_path}
+        argv = [_PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], token)
+                for token in shlex.split(spec.command_template)]
+        try:
+            with _external_slots:
+                proc = subprocess.run(argv, capture_output=True, text=True,
+                                      timeout=spec.timeout_s)
+        except subprocess.TimeoutExpired as exc:
+            raise ExternalSeparatorError(
+                f"external separator timed out after {spec.timeout_s}s") from exc
+        except OSError as exc:
+            raise ExternalSeparatorError(f"cannot run external separator: {exc}") from exc
+        if proc.returncode != 0:
+            raise ExternalSeparatorError(
+                f"external separator exited with {proc.returncode}: "
+                f"{proc.stderr.strip()[-500:]}")
+        try:
+            estimate = read_wav(out_path)
+        except Exception as exc:
+            raise ExternalSeparatorError(f"cannot read separator output: {exc}") from exc
+    if len(estimate) != len(mixture):
+        logger.warning("external estimate length %d != mixture length %d; adjusting",
+                       len(estimate), len(mixture))
+        samples = estimate.samples
+        if samples.size > len(mixture):
+            samples = samples[:len(mixture)]
+        else:
+            samples = np.pad(samples, (0, len(mixture) - samples.size))
+        estimate = Waveform(samples, estimate.sample_rate)
+    return estimate
+
+
+def separate(spec: SeparatorSpec, mixture: Waveform, caption: str,
+             oracle_sources: tuple[Waveform, Waveform] | None = None) -> Waveform:
+    """Run one separator on one mixture and return the estimated target."""
+    if spec.kind == KIND_IDENTITY:
+        return mixture
+    if spec.kind == KIND_ORACLE_IRM:
+        if oracle_sources is None:
+            raise ValueError("oracle_irm requires oracle_sources=(target, interference)")
+        target, interference = oracle_sources
+        for stem in (target, interference):
+            if len(stem) != len(mixture) or stem.sample_rate != mixture.sample_rate:
+                raise ValueError("oracle sources must align with the mixture")
+        return oracle_irm(mixture, target, interference, spec.stft_params)
+    return _run_external(spec, mixture, caption)
+
+
+def ensemble(estimates: list[Waveform],
+             weights: list[float] | tuple[float, ...] | None = None) -> Waveform:
+    """Weighted sum of estimates with weights normalized to sum to one
+    (equal weights when none are given)."""
+    if not estimates:
+        raise ValueError("need at least one estimate")
+    weights = [1.0] * len(estimates) if weights is None else [float(w) for w in weights]
+    if len(weights) != len(estimates):
+        raise ValueError("one weight per estimate is required")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("at least one weight must be positive")
+    rates = {e.sample_rate for e in estimates}
+    lengths = {len(e) for e in estimates}
+    if len(rates) != 1 or len(lengths) != 1:
+        raise ValueError("estimates must share length and sample rate")
+    out = np.zeros(lengths.pop())
+    for w, est in zip(weights, estimates):
+        out += (w / total) * est.samples
+    return Waveform(out, rates.pop())
 
 
 @dataclass

@@ -40,11 +40,10 @@ DEFAULT_EVAL_EPSILON = 1e-8
 DEFAULT_SNR_RANGE_DB = (-10.0, 10.0)
 DEFAULT_CLAMP_DB = 60.0
 
-# evaluation's names, which load NumPy: ``harness.run_evaluation`` and the
-# rest resolve on first use, so a config or an augmentation run never loads it
-_EVALUATION_NAMES = frozenset({
-    "EvalItem", "ClipScore", "SeparatorResult", "EvaluationResult", "write_per_clip_csv",
-    "score_clips", "run_evaluation", "make_synthetic_eval_set"})
+# evaluation's names that the CLI and the benchmark read here; they load NumPy,
+# so they resolve on first use and a config or an augmentation run never loads it
+_EVALUATION_NAMES = frozenset({"EvalItem", "write_per_clip_csv", "score_clips",
+                               "run_evaluation", "make_synthetic_eval_set"})
 
 
 def __getattr__(name):
@@ -59,6 +58,11 @@ class ConfigError(ValueError):
 
 class HarnessError(RuntimeError):
     """A run could not be completed (for example, too many failed clips)."""
+
+
+def _typed(value, kinds) -> bool:
+    """``isinstance(value, kinds)``, where a bool is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def load_config(path, from_dict):
@@ -101,6 +105,24 @@ class ExperimentConfig:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for names, kinds, what in ((("requested_count", "mock_seed", "seed"), int, "an integer"),
+                                   (("epsilon", "clamp_db"), (int, float), "a number"),
+                                   (("manifest_path", "out_dir"), (str, type(None)),
+                                    "a string or null"),
+                                   (("provenance",), dict, "an object")):
+            for name in names:
+                if not _typed(getattr(self, name), kinds):
+                    raise ConfigError(f"{name} must be {what}, not {getattr(self, name)!r}")
+        if not isinstance(self.use_mock_llm, bool):
+            raise ConfigError(f"llm mock must be true or false, not {self.use_mock_llm!r}")
+        # an integer is stored, and hashed, as the float it stands for
+        self.epsilon, self.clamp_db = float(self.epsilon), float(self.clamp_db)
+        if not (isinstance(self.snr_range, (tuple, list)) and len(self.snr_range) == 2
+                and all(_typed(x, (int, float)) and math.isfinite(x) for x in self.snr_range)
+                and self.snr_range[0] <= self.snr_range[1]):
+            raise ConfigError("snr_range must be two finite numbers [low, high] with "
+                              f"low <= high, not {self.snr_range!r}")
+        self.snr_range = tuple(self.snr_range)
         try:
             builtin_template(self.prompt_kind)
         except ValueError as exc:
@@ -109,6 +131,8 @@ class ExperimentConfig:
         if self.requested_count < 1:
             raise ConfigError("requested_count must be >= 1")
         names = [name for name, _ in self.separators]
+        if not all(isinstance(name, str) and name for name in names):
+            raise ConfigError(f"separator names must be non-empty strings, not {names}")
         if len(names) != len(set(names)):
             raise ConfigError("separator names must be unique")
         clashes = sorted(set(names) & set(self.ensembles))
@@ -122,7 +146,7 @@ class ExperimentConfig:
             weights = definition.weights or (1.0,)  # None: equal weights
             if definition.weights is not None and len(weights) != len(definition.members):
                 raise ConfigError(f"ensemble {ens_name!r} needs one weight per member")
-            # weights that separation.ensemble refuses, or turns to NaN, on every clip
+            # weights that evaluation.ensemble refuses, or turns to NaN, on every clip
             if not (all(math.isfinite(w) and w >= 0 for w in weights) and max(weights) > 0):
                 raise ConfigError(f"ensemble {ens_name!r} needs finite weights >= 0, one > 0")
         if not (self.clamp_db > 0 and self.epsilon >= 0):  # NaN fails this too
@@ -154,7 +178,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         prompt, ensemble_docs = doc.get("prompt", {}), doc.get("ensembles", {})
         llm_doc = dict(doc.get("llm", {"mock": True, "seed": 0}))
-        use_mock = bool(llm_doc.pop("mock", False))
+        use_mock = llm_doc.pop("mock", False)
         parts = [("config", doc, cls().to_dict()), ("prompt", prompt, ("kind", "count")),
                  ("llm", llm_doc, ("seed",) if use_mock else vars(LlmConfig()))]
         parts += [("ensemble", d, ("members", "weights")) for d in ensemble_docs.values()]
@@ -165,25 +189,32 @@ class ExperimentConfig:
         separators = [(item["name"], SeparatorSpec.from_dict(
             {k: v for k, v in item.items() if k != "name"}))
             for item in doc.get("separators", [])]
+        for name, d in ensemble_docs.items():
+            members, weights = d["members"], d.get("weights")
+            if not (isinstance(members, list) and all(isinstance(m, str) for m in members)
+                    and (weights is None or isinstance(weights, list)
+                         and all(_typed(w, (int, float)) for w in weights))):
+                raise ConfigError(f"ensemble {name!r} needs a list of member names "
+                                  "and a list of numeric weights or null")
         ensembles = {name: EnsembleDef(tuple(d["members"]),
                                        tuple(d["weights"]) if d.get("weights") else None)
                      for name, d in ensemble_docs.items()}
         return cls(
             manifest_path=doc.get("manifest"),
             prompt_kind=prompt.get("kind", PromptKind.MODIFIED_WAVCAPS.value),
-            requested_count=int(prompt.get("count", 4)),
+            requested_count=prompt.get("count", 4),
             use_mock_llm=use_mock,
-            mock_seed=int(llm_doc.get("seed", 0)) if use_mock else 0,
+            mock_seed=llm_doc.get("seed", 0) if use_mock else 0,
             llm=None if use_mock else LlmConfig.from_dict(llm_doc),
             filter_rules=FilterRules.from_dict(doc.get("filter_rules", {})),
             separators=separators,
             ensembles=ensembles,
-            snr_range=tuple(doc.get("snr_range", DEFAULT_SNR_RANGE_DB)),
-            epsilon=float(doc.get("epsilon", DEFAULT_EVAL_EPSILON)),
-            clamp_db=float(doc.get("clamp_db", DEFAULT_CLAMP_DB)),
+            snr_range=doc.get("snr_range", DEFAULT_SNR_RANGE_DB),
+            epsilon=doc.get("epsilon", DEFAULT_EVAL_EPSILON),
+            clamp_db=doc.get("clamp_db", DEFAULT_CLAMP_DB),
             out_dir=doc.get("out_dir"),
-            seed=int(doc.get("seed", 0)),
-            provenance=dict(doc.get("provenance", {})),
+            seed=doc.get("seed", 0),
+            provenance=doc.get("provenance", {}),
         )
 
     def hash(self) -> str:

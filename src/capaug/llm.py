@@ -71,6 +71,15 @@ class LlmConfig:
     api_key_env: str | None = None
 
     def __post_init__(self):
+        for names, kinds, what in ((("endpoint_url", "model_id"), str, "a string"),
+                                   (("api_key_env",), (str, type(None)), "a string or null"),
+                                   (("max_tokens", "max_retries", "max_concurrent_requests"),
+                                    int, "an integer"),
+                                   (("temperature", "timeout_s"), (int, float), "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kinds):  # a bool is no number
+                    raise ValueError(f"llm {name} must be {what}, not {value!r}")
         # NaN passes a plain comparison, and a non-finite float cannot go into the JSON body
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ValueError("timeout must be positive and finite")

@@ -1,54 +1,24 @@
-"""Pluggable separators and waveform-domain weighted-sum ensembling.
+"""Separator specs: which separator a config names, and its settings.
 
-Three separator kinds are supported:
-
-* ``identity`` returns the mixture untouched (the null baseline);
-* ``oracle_irm`` applies an ideal ratio mask built from the true stems, an
-  upper-bound reference that needs the target/interference pair;
-* ``external`` shells out to any command that reads a mixture WAV and a
-  caption and writes an estimate WAV, which is how trained checkpoints plug in.
-
-Every experiment config imports this module for its separator specs, so
-importing it does not load NumPy: the oracle, external and ensemble paths
-import NumPy and :mod:`capaug.audio` when they first run.
+Three kinds: ``identity`` returns the mixture untouched (the null baseline);
+``oracle_irm`` applies an ideal ratio mask built from the true stems (an upper
+bound that needs the target/interference pair); ``external`` shells out to a
+command that reads a mixture WAV and a caption and writes an estimate WAV,
+which is how trained checkpoints plug in. Every config imports this module,
+so it never loads NumPy: :mod:`capaug.evaluation` runs the separators.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import os
-import re
-import shlex
-import subprocess
-import tempfile
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .audio import Waveform
-
-logger = logging.getLogger(__name__)
-
-MASK_EPS = 1e-12
 DEFAULT_EXTERNAL_TIMEOUT_S = 120.0
 EXTERNAL_PLACEHOLDERS = ("{MIXTURE}", "{CAPTION}", "{OUT}")
-_PLACEHOLDER_RE = re.compile(r"\{(MIXTURE|CAPTION|OUT)\}")
-EXTERNAL_PROCESS_BOUND = 2
-
-# caps concurrent external subprocesses across all callers in this process
-_external_slots = threading.BoundedSemaphore(EXTERNAL_PROCESS_BOUND)
 
 KIND_IDENTITY = "identity"
 KIND_ORACLE_IRM = "oracle_irm"
 KIND_EXTERNAL = "external"
-
-
-class ExternalSeparatorError(RuntimeError):
-    """External command failed, timed out, or produced unreadable output."""
 
 
 @dataclass(frozen=True)
@@ -99,100 +69,3 @@ class SeparatorSpec:
         return cls(kind=doc["kind"], stft_params=StftParams(**doc.get("stft", {})),
                    command_template=doc.get("command", ""),
                    timeout_s=doc.get("timeout_s", DEFAULT_EXTERNAL_TIMEOUT_S))
-
-
-def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
-    """|S_t|^2 / (|S_t|^2 + |S_i|^2 + eps) from the two power spectra, written
-    over ``p_t`` (``p_i`` is overwritten too)."""
-    p_i += p_t
-    p_i += MASK_EPS
-    p_t /= p_i
-    return p_t
-
-
-def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Waveform:
-    import numpy as np
-
-    from .audio import Waveform, read_wav, write_wav
-    with tempfile.TemporaryDirectory(prefix="capaug_sep_") as tmp:
-        # os.path, not pathlib: see score_clips in capaug.evaluation
-        mixture_path = os.path.join(tmp, "mixture.wav")
-        out_path = os.path.join(tmp, "estimate.wav")
-        write_wav(mixture_path, mixture)
-        # split first, substitute per token: captions with spaces stay one argv entry;
-        # one pass per token, so a caption containing "{OUT}" stays literal text
-        values = {"MIXTURE": mixture_path, "CAPTION": caption, "OUT": out_path}
-        argv = [_PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], token)
-                for token in shlex.split(spec.command_template)]
-        try:
-            with _external_slots:
-                proc = subprocess.run(argv, capture_output=True, text=True,
-                                      timeout=spec.timeout_s)
-        except subprocess.TimeoutExpired as exc:
-            raise ExternalSeparatorError(
-                f"external separator timed out after {spec.timeout_s}s") from exc
-        except OSError as exc:
-            raise ExternalSeparatorError(f"cannot run external separator: {exc}") from exc
-        if proc.returncode != 0:
-            raise ExternalSeparatorError(
-                f"external separator exited with {proc.returncode}: "
-                f"{proc.stderr.strip()[-500:]}")
-        try:
-            estimate = read_wav(out_path)
-        except Exception as exc:
-            raise ExternalSeparatorError(f"cannot read separator output: {exc}") from exc
-    if len(estimate) != len(mixture):
-        logger.warning("external estimate length %d != mixture length %d; adjusting",
-                       len(estimate), len(mixture))
-        samples = estimate.samples
-        if samples.size > len(mixture):
-            samples = samples[:len(mixture)]
-        else:
-            samples = np.pad(samples, (0, len(mixture) - samples.size))
-        estimate = Waveform(samples, estimate.sample_rate)
-    return estimate
-
-
-def separate(spec: SeparatorSpec, mixture: Waveform, caption: str,
-             oracle_sources: tuple[Waveform, Waveform] | None = None) -> Waveform:
-    """Run one separator on one mixture and return the estimated target."""
-    if spec.kind == KIND_IDENTITY:
-        return mixture
-    if spec.kind == KIND_ORACLE_IRM:
-        if oracle_sources is None:
-            raise ValueError("oracle_irm requires oracle_sources=(target, interference)")
-        target, interference = oracle_sources
-        for stem in (target, interference):
-            if len(stem) != len(mixture) or stem.sample_rate != mixture.sample_rate:
-                raise ValueError("oracle sources must align with the mixture")
-        from .audio import resynthesize_masked
-        return resynthesize_masked(mixture, (target, interference), _irm_in_place,
-                                   spec.stft_params)
-    return _run_external(spec, mixture, caption)
-
-
-def ensemble(estimates: list[Waveform],
-             weights: list[float] | tuple[float, ...] | None = None) -> Waveform:
-    """Weighted sum of estimates with weights normalized to sum to one
-    (equal weights when none are given)."""
-    import numpy as np
-
-    from .audio import Waveform
-    if not estimates:
-        raise ValueError("need at least one estimate")
-    weights = [1.0] * len(estimates) if weights is None else [float(w) for w in weights]
-    if len(weights) != len(estimates):
-        raise ValueError("one weight per estimate is required")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    rates = {e.sample_rate for e in estimates}
-    lengths = {len(e) for e in estimates}
-    if len(rates) != 1 or len(lengths) != 1:
-        raise ValueError("estimates must share length and sample rate")
-    out = np.zeros(lengths.pop())
-    for w, est in zip(weights, estimates):
-        out += (w / total) * est.samples
-    return Waveform(out, rates.pop())

@@ -246,6 +246,20 @@ class TestConfigFiles:
                       "ensembles": {"e": {"members": ["x", "y"], "weights": [-1, 2]}}}),
         ("--config", {"separators": [{"name": "x", "kind": "identity"}],
                       "ensembles": {"e": {"members": ["x"], "weights": [0]}}}),
+        ("--config", {"prompt": {"count": 2.9}}),
+        ("--config", {"seed": True}),
+        ("--config", {"epsilon": "1e-8"}),
+        ("--config", {"manifest": 5}),
+        ("--config", {"snr_range": "ab"}),
+        ("--config", {"snr_range": [1, 2, 3]}),
+        ("--config", {"snr_range": [10, -10]}),
+        ("--config", {"separators": [{"name": "a", "kind": "identity"},
+                                     {"name": "b", "kind": "identity"}],
+                      "ensembles": {"e": {"members": "ab"}}}),
+        ("--config", {"llm": {**HTTP_CONFIG["llm"], "api_key_env": 5}}),
+        ("--config", {"llm": {"mock": "no"}}),
+        ("--config", {"provenance": [["a", 1]]}),
+        ("--config", {"separators": [{"name": 5, "kind": "identity"}]}),
     ])
     def test_bad_document_exit_2(self, tmp_path, wav_pair, capsys, option, doc):
         path = tmp_path / "doc.json"
@@ -270,6 +284,23 @@ class TestStats:
         assert "Synthetic" in out and "Total" in out
         synthetic_line = [l for l in out.splitlines() if l.startswith("Synthetic")][0]
         assert synthetic_line.split() == ["Synthetic", "10", "16", "0"]
+
+    @pytest.mark.parametrize("command", [["stats"], ["augment", "--mock-llm", "--out-dir", "out"]])
+    @pytest.mark.parametrize("doc, field", [
+        ({"metadata": {}}, "entries"),
+        ([1, 2], "entries"),
+        ({"entries": "x"}, "entries"),
+        ({"entries": [{"clip_id": "a"}]}, "original_captions"),
+    ])
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, monkeypatch, command, doc,
+                                       field):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(*command, "--manifest", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and f"'{field}'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSignalCommands:

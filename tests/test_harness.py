@@ -22,8 +22,8 @@ from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig
                             HarnessError, load_config, make_synthetic_eval_set,
                             run_augmentation, run_evaluation)
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
-from capaug import separation
-from capaug.separation import SeparatorSpec, ensemble
+from capaug.evaluation import EXTERNAL_PROCESS_BOUND, ensemble
+from capaug.separation import SeparatorSpec
 from oracles import stats_bytes_reference, synthetic_eval_set_reference
 
 
@@ -104,6 +104,16 @@ class TestConfig:
         assert rebuilt == config
         assert rebuilt.hash() == config.hash()
         assert len(config.hash()) == 64
+
+    def test_document_hash_is_pinned(self):
+        # an integer epsilon or clamp_db hashes as a float; integer snr_range and weights as ints
+        config = ExperimentConfig.from_dict({
+            "prompt": {"count": 3}, "epsilon": 0, "clamp_db": 60, "snr_range": [-5, 5],
+            "seed": 7, "llm": {"mock": True, "seed": 2},
+            "separators": [{"name": "a", "kind": "identity"}, {"name": "b", "kind": "identity"}],
+            "ensembles": {"e": {"members": ["a", "b"], "weights": [1, 3]}}})
+        assert config.hash() == \
+            "73803aa52f23ddd6559ce27be0191971794334f589e210d358a47596d79081e2"
 
     def test_duplicate_separator_names_rejected(self):
         with pytest.raises(ConfigError, match="unique"):
@@ -712,7 +722,7 @@ class TestRunEvaluation:
                      for p in marks.glob("*.start") if p.with_suffix(".end").exists()]
         assert len(starts) == 7 and len(intervals) == 6
         running_at = [sum(s <= t < e for s, e in intervals) for t in starts]
-        assert max(running_at) == separation.EXTERNAL_PROCESS_BOUND == 2
+        assert max(running_at) == EXTERNAL_PROCESS_BOUND == 2
         assert sum(e - s for s, e in intervals) > max(e for _, e in intervals) - starts[0]
 
     def test_output_bytes_are_pinned(self, tmp_path, monkeypatch):
@@ -791,7 +801,7 @@ class TestRunEvaluation:
             make_synthetic_eval_set(12, seed=14, duration_s=0.25))
         assert len(live) == 12
         assert len(result.separators["ext"].per_clip) == 12
-        assert most_alive <= 2 * separation.EXTERNAL_PROCESS_BOUND + 1
+        assert most_alive <= 2 * EXTERNAL_PROCESS_BOUND + 1
 
     def test_worker_threads_intern_no_strings(self, tmp_path, monkeypatch):
         # pathlib interns each component of a path; a new name interned per

@@ -1,6 +1,7 @@
 """What importing capaug loads: the text pipeline starts without NumPy, and every
 public name still resolves."""
 
+import ast
 import json
 import os
 import subprocess
@@ -71,6 +72,61 @@ def test_every_public_name_still_resolves():
     assert capaug.harness.make_synthetic_eval_set is capaug.make_synthetic_eval_set
     assert capaug.audio.StftParams is capaug.StftParams
     assert capaug.metrics.MetricsTriple is capaug.MetricsTriple
-    assert capaug.audio.DEFAULT_SNR_RANGE_DB == capaug.harness.DEFAULT_SNR_RANGE_DB
     assert capaug.metrics.DEFAULT_CLAMP_DB == capaug.harness.DEFAULT_CLAMP_DB
     from capaug.harness import EvalItem, score_clips, write_per_clip_csv  # noqa: F401
+
+
+# the modules on the NumPy side of the line, which the text pipeline never loads
+AUDIO_SIDE = {"numpy", "audio", "metrics", "evaluation"}
+# imported when an HTTP client is built or fails, not with the module: see LlmClient
+LOCAL_IMPORTS_ALLOWED = {("llm", "http.client")}
+
+
+def _imports(module: str) -> list[tuple[str, bool]]:
+    """(imported module, inside a function) for each import in ``capaug.<module>``:
+    capaug's own modules by their short name (``capaug`` itself as ``__init__``),
+    NumPy's as ``numpy``."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, in_function) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.module:  # from . import x
+            found.extend((alias.name, in_function) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.module, in_function))
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse((SRC / "capaug" / f"{module}.py").read_text(encoding="utf-8")), False)
+    short = {"capaug": "__init__", "numpy": "numpy"}
+    return [(short.get(name.split(".")[0], name.removeprefix("capaug.")), in_function)
+            for name, in_function in found]
+
+
+def test_no_function_local_imports():
+    local = {(path.stem, name) for path in (SRC / "capaug").glob("*.py")
+             for name, in_function in _imports(path.stem) if in_function}
+    assert local <= LOCAL_IMPORTS_ALLOWED
+
+
+def test_no_type_checking_blocks():
+    for path in (SRC / "capaug").glob("*.py"):
+        assert "TYPE_CHECKING" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_text_pipeline_modules_import_no_audio_code():
+    # every capaug module that ``import capaug`` or the CLI loads, found statically
+    loaded, todo = set(), ["__init__", "cli"]
+    while todo:
+        module = todo.pop()
+        loaded.add(module)
+        for name, in_function in _imports(module):
+            if in_function:
+                continue
+            assert name not in AUDIO_SIDE, f"capaug.{module} imports {name}"
+            if (SRC / "capaug" / f"{name}.py").is_file() and name not in loaded:
+                todo.append(name)
+    assert {"harness", "separation", "llm", "corpus"} <= loaded

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from capaug import audio
-from capaug.audio import (StftParams, Waveform, mix, read_wav, stft, tone_burst, white_noise,
-                          write_wav)
+from capaug.audio import (StftParams, Waveform, _irm_in_place, mix, read_wav, stft, tone_burst,
+                          white_noise, write_wav)
+from capaug.evaluation import ExternalSeparatorError, ensemble, separate
 from capaug.harness import load_config
 from capaug.metrics import sdr
-from capaug.separation import (ExternalSeparatorError, SeparatorSpec, _irm_in_place, ensemble,
-                               separate)
+from capaug.separation import SeparatorSpec
 from oracles import irm_mask_reference, oracle_irm_reference
 
 # first run of the seeded tone+noise fixture below observed 21.3 dB oracle SDR
