@@ -228,15 +228,26 @@ def _spectrum_shape(n_samples: int, params: StftParams) -> tuple[int, int]:
     return -(-(n_samples + w) // h) + 1, w // 2 + 1
 
 
+def _signal_scratch(n_frames: int, w: int, h: int) -> np.ndarray:
+    """This thread's one signal-length scratch array, ``(n_frames + ceil(w/h) - 1) * h``
+    samples: the padded STFT input and the overlap-add output, in whole hops.
+
+    No call has both alive: the padded signal is spent once its frames are
+    copied, and the overlap-add runs after a call's last forward STFT.
+    """
+    return _scratch("signal", ((n_frames - (-w // h) - 1) * h,))
+
+
 def _stft_into(samples: np.ndarray, params: StftParams, out: np.ndarray) -> np.ndarray:
     """Write the frame-major spectrum of ``samples`` into ``out`` and return it.
 
     ``out`` has the shape :func:`_spectrum_shape` gives. The padded signal and
-    the windowed frames live in this thread's scratch arrays.
+    the windowed frames live in this thread's scratch arrays ``"signal"`` and
+    ``"frames"``; both are spent once this returns.
     """
     w, h = params.window_size, params.hop
     n_frames = out.shape[0]
-    padded = _scratch("padded", (w + (n_frames - 1) * h,))
+    padded = _signal_scratch(n_frames, w, h)[:w + (n_frames - 1) * h]
     padded[:w] = 0.0
     padded[w:w + samples.size] = samples
     padded[w + samples.size:] = 0.0
@@ -269,11 +280,11 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     frame's chunk k at once. Chunks go in descending k, so each sample gets its
     frames in ascending frame order: the same additions in the same order as a
     per-frame loop, hence the same bits. The result is a view of this thread's
-    scratch array ``"overlap"``.
+    scratch array ``"signal"``.
     """
     n_frames, w = frames.shape
     n_chunks = -(-w // hop)
-    out = _scratch("overlap", (n_frames + n_chunks - 1, hop))
+    out = _signal_scratch(n_frames, w, hop).reshape(n_frames + n_chunks - 1, hop)
     out.fill(0.0)
     for k in reversed(range(n_chunks)):
         width = min(hop, w - k * hop)
@@ -331,16 +342,21 @@ def oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,
                params: StftParams) -> Waveform:
     """``istft(mask * stft(mixture))`` with the ideal ratio mask of the two stems.
 
-    The three spectra pass through one of this thread's scratch arrays and the
-    stems' power spectra live in two more, so nothing here is allocated per call.
+    The three spectra pass through one of this thread's scratch arrays. The
+    target's power spectrum lives in another, the interference's in the
+    frames its STFT has spent, so nothing here is allocated per call.
     """
-    shape = _spectrum_shape(len(mixture), params)
+    shape = n_frames, bins = _spectrum_shape(len(mixture), params)
     spectrum = _scratch("spectrum", shape, np.complex128)
-    powers = _scratch("power_0", shape), _scratch("power_1", shape)
-    for source, power in zip((target, interference), powers):
-        np.abs(_stft_into(source.samples, params, spectrum), out=power)
-        np.square(power, out=power)
-    mask = _irm_in_place(*powers)
+    p_t = _scratch("power_0", shape)
+    np.abs(_stft_into(target.samples, params, spectrum), out=p_t)
+    np.square(p_t, out=p_t)
+    _stft_into(interference.samples, params, spectrum)
+    # p_i is spent by the mask, before the mixture's STFT writes frames over it
+    frames = _scratch("frames", (n_frames, params.window_size))
+    p_i = np.abs(spectrum, out=frames.reshape(-1)[:n_frames * bins].reshape(shape))
+    np.square(p_i, out=p_i)
+    mask = _irm_in_place(p_t, p_i)
     masked = np.multiply(mask, _stft_into(mixture.samples, params, spectrum), out=spectrum)
     return istft(masked.T, params, length=len(mixture), sample_rate=mixture.sample_rate)
 

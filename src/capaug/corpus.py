@@ -72,8 +72,9 @@ class ClipEntry:
 
         A missing or wrongly typed field raises ``ValueError`` naming the clip
         and the field: a ``clip_id`` that is not a string, an ``audio_path``
-        that is neither a string nor null, or captions that are not a list of
-        strings. So does an entry that is not an object.
+        that is neither a string nor null, a ``source_dataset`` that is not
+        one of :class:`SourceDataset`'s values, or captions that are not a
+        list of strings. So does an entry that is not an object.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"manifest entry {doc!r} is not an object")
@@ -90,10 +91,15 @@ class ClipEntry:
         for name, value in (("original_captions", original), ("augmented_captions", augmented)):
             if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
                 raise ValueError(f"clip {clip_id!r}: {name} must be a list of strings")
+        try:
+            source_dataset = SourceDataset(source)
+        except ValueError:
+            raise ValueError(f"clip {clip_id!r}: source_dataset must be one of "
+                             f"{[s.value for s in SourceDataset]}") from None
         return cls(
             clip_id=clip_id,
             audio_path=audio_path,
-            source_dataset=SourceDataset(source),
+            source_dataset=source_dataset,
             original_captions=list(original),
             augmented_captions=list(augmented),
         )

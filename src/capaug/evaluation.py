@@ -58,7 +58,9 @@ def _run_external(spec: SeparatorSpec, mixture: Waveform, caption: str) -> Wavef
                 for token in shlex.split(spec.command_template)]
         try:
             with _external_slots:
-                proc = subprocess.run(argv, capture_output=True, text=True,
+                # stdout is not read: a separator's progress log is not held per clip
+                proc = subprocess.run(argv, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.PIPE, text=True,
                                       timeout=spec.timeout_s)
         except subprocess.TimeoutExpired as exc:
             raise ExternalSeparatorError(

@@ -45,7 +45,10 @@ def _energy(signal: np.ndarray) -> float:
 
 
 def _sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float) -> float:
-    err_energy = float(np.sum((ref - est) ** 2))
+    # squared in place: np.square is the operation ``** 2`` runs, without a
+    # second clip-length temporary
+    err = np.subtract(ref, est)
+    err_energy = float(np.sum(np.square(err, out=err)))
     if epsilon == 0.0:
         if ref_energy == 0.0:
             raise ValueError("zero-energy reference with epsilon=0")
@@ -63,8 +66,9 @@ def _si_sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float)
     # spinning on a second core after each call returns
     alpha = float(np.einsum("i,i->", est, ref)) / ref_energy
     projection = alpha * ref
-    target_energy = float(np.sum(projection ** 2))
-    err_energy = float(np.sum((est - projection) ** 2))
+    err = np.subtract(est, projection)
+    target_energy = float(np.sum(np.square(projection, out=projection)))
+    err_energy = float(np.sum(np.square(err, out=err)))
     if epsilon == 0.0:
         if target_energy == 0.0:
             return -math.inf

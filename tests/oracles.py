@@ -10,6 +10,7 @@ the frames itself.
 import json
 import math
 import unicodedata
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,6 +63,45 @@ def si_sdr_brute(estimate, reference, eps=0.0):
     if num == 0.0:
         return -math.inf
     return 10.0 * math.log10(num / den)
+
+
+def scores_squared_reference(estimate, mixture, reference, eps=0.0):
+    """``(sdr, sdri, si_sdr)`` of one estimate, by the NumPy formulas the library
+    first used, each square a fresh ``** 2`` temporary. Raises ``ValueError``
+    where the library does: a silent reference with ``eps == 0``."""
+    est, mix, ref = (np.asarray(x, dtype=np.float64) for x in (estimate, mixture, reference))
+    ref_energy = float(np.sum(ref ** 2))
+
+    def ratio_db(num, den):
+        if eps == 0.0 and den == 0.0:
+            return math.inf
+        return 10.0 * math.log10((num + eps) / (den + eps))
+
+    def sdr(x):
+        if eps == 0.0 and ref_energy == 0.0:
+            raise ValueError("zero-energy reference with epsilon=0")
+        return ratio_db(ref_energy, float(np.sum((ref - x) ** 2)))
+
+    mixture_sdr = sdr(mix)
+    est_sdr = sdr(est)
+    if ref_energy == 0.0:
+        si_sdr = 10.0 * math.log10(eps / (float(np.sum(est ** 2)) + eps))
+    else:
+        projection = float(np.einsum("i,i->", est, ref)) / ref_energy * ref
+        target_energy = float(np.sum(projection ** 2))
+        err_energy = float(np.sum((est - projection) ** 2))
+        if eps == 0.0 and target_energy == 0.0:
+            si_sdr = -math.inf
+        else:
+            si_sdr = ratio_db(target_energy, err_energy)
+    return est_sdr, est_sdr - mixture_sdr, si_sdr
+
+
+def on_fresh_thread(fn):
+    """``fn()`` run on a new thread, which starts with no ``audio`` scratch arrays
+    and unmaps them when it ends; returns what ``fn`` returns."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
 
 
 def mix_gain_brute(target, interference, snr_db):

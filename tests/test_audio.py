@@ -4,7 +4,6 @@ import mmap
 import struct
 import tempfile
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +13,10 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from capaug import audio
-from capaug.audio import (StftParams, Waveform, WavFormatError, istft, mix, read_wav,
-                          stft, tone_burst, white_noise, write_wav)
-from oracles import istft_brute, mix_gain_brute, stft_reference, tone_burst_reference
+from capaug.audio import (StftParams, Waveform, WavFormatError, istft, mix, oracle_irm,
+                          read_wav, stft, tone_burst, white_noise, write_wav)
+from oracles import (istft_brute, mix_gain_brute, on_fresh_thread, oracle_irm_reference,
+                     stft_reference, tone_burst_reference)
 
 # (window, hop) pairs: hops dividing the window, hops equal to it, and a hop
 # that does not divide it
@@ -33,6 +33,19 @@ def _masked_spectrum(x, params, seed):
 def _rand_wave(n, seed, rate=16000):
     rng = np.random.default_rng(seed)
     return Waveform(0.1 * rng.standard_normal(n), rate)
+
+
+def _scratch_mappings():
+    """Each of this thread's scratch arrays (the synthesis norm's two
+    included) by name, as the mmap that holds it."""
+    mappings = {}
+    for name, value in vars(audio._scratch_arrays).items():
+        arrays = value[1:] if name == "norm" else (value,)
+        for i, array in enumerate(arrays):
+            while isinstance(array, np.ndarray):
+                array = array.base
+            mappings[f"{name}[{i}]"] = array.obj
+    return mappings
 
 
 _PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -355,11 +368,9 @@ class TestStft:
                 assert np.array_equal(istft(matrix, params, length=n).samples,
                                       istft_brute(matrix, 256, 64, n))
                 return dict(vars(audio._scratch_arrays))
-            # a fresh thread starts with no scratch arrays
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                return pool.submit(run).result()
+            return on_fresh_thread(run)
 
-        assert set(kept_after(1000)) == {"padded", "frames", "overlap", "norm"}
+        assert set(kept_after(1000)) == {"signal", "frames", "norm"}
         assert kept_after(16000) == {}
 
     def test_scratch_arrays_are_unmapped_when_their_thread_ends(self):
@@ -370,19 +381,28 @@ class TestStft:
             matrix = stft(x)
             assert np.array_equal(istft(matrix, length=len(x)).samples,
                                   istft_brute(matrix, 1024, 256, len(x)))
-            mappings = []
-            for name in ("padded", "frames", "overlap"):
-                array = getattr(audio._scratch_arrays, name)
-                while isinstance(array, np.ndarray):
-                    array = array.base
-                assert isinstance(array.obj, mmap.mmap)
-                mappings.append(weakref.ref(array.obj))
-            return mappings
+            mappings = _scratch_mappings()
+            assert set(mappings) == {"signal[0]", "frames[0]", "norm[0]", "norm[1]"}
+            assert all(isinstance(m, mmap.mmap) for m in mappings.values())
+            return [weakref.ref(m) for m in mappings.values()]
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            mappings = pool.submit(run).result()
+        mappings = on_fresh_thread(run)
         gc.collect()
-        assert [m() for m in mappings] == [None] * 3
+        assert [m() for m in mappings] == [None] * 4
+
+    def test_oracle_irm_scratch_set_is_five_arrays_within_6_4_mb(self):
+        # one signal-length array serves the padded input and the overlap-add,
+        # and the interference's power spectrum lives in the spent frames
+        def run():
+            target, interference, mixture = (_rand_wave(64000, seed) for seed in range(3))
+            estimate = oracle_irm(mixture, target, interference, StftParams())
+            assert np.array_equal(estimate.samples, oracle_irm_reference(
+                mixture.samples, target.samples, interference.samples, 1024, 256))
+            return set(vars(audio._scratch_arrays)), _scratch_mappings()
+
+        names, mappings = on_fresh_thread(run)
+        assert names == {"signal", "frames", "spectrum", "power_0", "norm"}
+        assert sum(len(m) for m in mappings.values()) <= 6.4e6
 
     def test_stft_results_do_not_share_memory(self):
         a = stft(_rand_wave(4096, 3))

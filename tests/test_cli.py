@@ -291,6 +291,10 @@ class TestStats:
         ([1, 2], "entries"),
         ({"entries": "x"}, "entries"),
         ({"entries": [{"clip_id": "a"}]}, "original_captions"),
+        ({"entries": [{"clip_id": "a", "original_captions": ["x"],
+                       "source_dataset": [1]}]}, "source_dataset"),
+        ({"entries": [{"clip_id": "a", "original_captions": ["x"],
+                       "source_dataset": "Nope"}]}, "source_dataset"),
     ])
     def test_malformed_manifest_exit_2(self, tmp_path, capsys, monkeypatch, command, doc,
                                        field):
@@ -299,7 +303,11 @@ class TestStats:
         path.write_text(json.dumps(doc))
         assert run_cli(*command, "--manifest", path) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:") and f"'{field}'" in err
+        # a missing field is named as a key; a bad value by its clip and field
+        named = {"source_dataset": "clip 'a': source_dataset must be one of "
+                                   "['FSD50K', 'ClothoV2', 'WavCapsBBC', 'WavCapsSoundBible', "
+                                   "'WavCapsAudioSet', 'Synthetic']\n"}
+        assert err.startswith(f"error: {path}:") and named.get(field, f"'{field}'") in err
         assert not (tmp_path / "out").exists()
 
 

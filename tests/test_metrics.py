@@ -1,12 +1,31 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capaug.audio import Waveform
 from capaug.metrics import MetricsTriple, aggregate, scorer, sdr, sdri, si_sdr
-from oracles import clamp_mean_brute, sdr_brute, sdri_brute, si_sdr_brute
+from oracles import (clamp_mean_brute, scores_squared_reference, sdr_brute, sdri_brute,
+                     si_sdr_brute)
+
+# samples in [-1, 1], with signed zeros and subnormals drawn often
+_SAMPLES = st.one_of(st.floats(-1.0, 1.0),
+                     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]))
+
+
+@st.composite
+def _clips(draw):
+    """``(estimate, mixture, reference)`` of one length; the estimate is
+    sometimes the reference, the mixture or the reference negated."""
+    signal = st.lists(_SAMPLES, min_size=(n := draw(st.integers(1, 40))), max_size=n)
+    reference, mixture = draw(signal), draw(signal)
+    estimate = draw(st.one_of(signal, st.sampled_from(
+        [reference, mixture, [-x for x in reference]])))
+    return estimate, mixture, reference
 
 
 def test_sdr_hand_value():
@@ -218,6 +237,27 @@ def test_scorer_scores_many_estimates_of_one_clip_exactly():
                                                 si_sdr(estimate, ref, 1e-8))
     with pytest.raises(ValueError, match="length mismatch"):
         score(ref[:100])
+
+
+@settings(max_examples=400, deadline=None)
+@given(clip=_clips(), eps=st.sampled_from([0.0, 1e-8]))
+@example(clip=([-0.0, 5e-324], [0.5, -0.0], [-0.0, 1e-310]), eps=0.0)
+@example(clip=([-0.0, 5e-324], [0.5, -0.0], [-0.0, 1e-310]), eps=1e-8)
+@example(clip=([0.5, -0.25], [0.5, -0.25], [0.5, -0.25]), eps=0.0)
+def test_scorer_bits_match_the_squared_formulas(clip, eps):
+    # squaring in place is the same IEEE operation as ``** 2``, summed over
+    # the same contiguous values: every score keeps its bits, infinities,
+    # NaNs and the refusal of a silent reference included
+    estimate, mixture, reference = clip
+    try:
+        expected = scores_squared_reference(estimate, mixture, reference, eps)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero-energy"):
+            scorer(mixture, reference, eps)
+        return
+    got = scorer(mixture, reference, eps)(estimate)
+    assert struct.pack("<3d", got.sdr_db, got.sdri_db, got.si_sdr_db) == \
+        struct.pack("<3d", *expected)
 
 
 def test_scorer_refuses_an_unscorable_clip_up_front():

@@ -1,6 +1,7 @@
 import json
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from capaug.evaluation import ExternalSeparatorError, ensemble, separate
 from capaug.harness import load_config
 from capaug.metrics import sdr
 from capaug.separation import SeparatorSpec
-from oracles import irm_mask_reference, oracle_irm_reference
+from oracles import irm_mask_reference, on_fresh_thread, oracle_irm_reference
 
 # first run of the seeded tone+noise fixture below observed 21.3 dB oracle SDR
 # (identity: 0 dB); asserted with headroom so numeric drift cannot flake it
@@ -126,8 +127,7 @@ class TestOracleIrm:
                                 (mixed.target, mixed.interference))
             return estimate, dict(vars(audio._scratch_arrays))
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            estimate, kept = pool.submit(run).result()
+        estimate, kept = on_fresh_thread(run)
         assert kept == {}
         assert np.array_equal(estimate.samples, oracle_irm_reference(
             mixed.mixture.samples, mixed.target.samples, mixed.interference.samples, 1024, 256))
@@ -228,6 +228,27 @@ class TestExternal:
         mixed = _tone_noise_mixture()
         with pytest.raises(ExternalSeparatorError, match="exited with 3"):
             separate(spec, mixed.mixture, "x")
+
+    def test_stdout_is_discarded_and_stderr_reported(self, tmp_path):
+        # a separator that logs 4 MB of progress to stdout: none of it is held
+        mixed = _tone_noise_mixture(seed=8, duration_s=0.25)
+        script = tmp_path / "chatty.sh"
+        script.write_text('head -c 4194304 /dev/zero\n'
+                          'if [ "$2" = fail ]; then echo "no model" >&2; exit 3; fi\n'
+                          'exec cp -- "$1" "$3"\n')
+        spec = SeparatorSpec(kind="external",
+                             command_template=f"sh {script} {{MIXTURE}} {{CAPTION}} {{OUT}}")
+        tracemalloc.start()
+        try:
+            out = separate(spec, mixed.mixture, "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == Waveform(mixed.mixture.samples.astype(np.float32).astype(np.float64),
+                               mixed.mixture.sample_rate)
+        assert peak < 1 << 20
+        with pytest.raises(ExternalSeparatorError, match="exited with 3: no model$"):
+            separate(spec, mixed.mixture, "fail")
 
     def test_timeout_raises(self, tmp_path):
         script = _write_stub(tmp_path, "import time; time.sleep(30)")
