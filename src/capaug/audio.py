@@ -1,9 +1,9 @@
 """Mono WAV I/O, SNR-controlled mixing, STFT/ISTFT and the oracle ideal-ratio mask.
 
-All operations are deterministic and work on float64 sample buffers in
-[-1, 1)-ish range. Only mono WAV files are supported: PCM16 and IEEE float32
-are read, float32 is written. PCM16 is decoded by dividing by 32768 so that
--32768 maps to exactly -1.0.
+Samples are float64. Mono PCM16 and IEEE float32 WAVs are read, PCM16 divided
+by 32768 so that -32768 is exactly -1.0; float32 is written. The STFT kernels
+work a block of frames at a time, so their per-thread scratch does not grow
+with the clip.
 """
 
 from __future__ import annotations
@@ -179,23 +179,19 @@ def mix(target: Waveform, interference: Waveform, snr_db: float) -> MixResult:
     )
 
 
-# Per-thread scratch arrays, one per name, each of the last shape asked for.
-# A fresh multi-megabyte temporary is handed back to the kernel when freed and
-# faulted in again by the next call; reusing these avoids that. One set per
-# thread, so concurrent separator threads never share an array. Only arrays of
-# at most _SCRATCH_MAX_BYTES are kept (at the default STFT, the frames of a
-# clip up to about 30 s at 16 kHz): a larger one is freed with its call, so a
-# long-lived thread does not hold several times a long clip's size after it.
+# The STFT runs in blocks of this many frames through per-thread scratch of one
+# block (about 1.46 MB at the default STFT, whatever the clip's length), which
+# concurrent separator threads never share; an array is reallocated only when
+# its shape changes. Blocks of 32 frames took about 20% longer per clip on two
+# threads: twice the NumPy calls, each a hand-off of the interpreter lock.
+_BLOCK_FRAMES = 64
 _scratch_arrays = threading.local()
-_SCRATCH_MAX_BYTES = 1 << 24
 
 
 def _mapped(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """A new array on an anonymous mmap, not malloc, so its pages go back to the
-    kernel when it is freed, and a scratch set when its thread ends. From
-    malloc, an ended thread's set (about 8 MB for a 4 s clip) stayed free and
-    resident in its malloc arena, which glibc hands on to a later thread; peak
-    RSS stepped by that much whenever clips ran on an arena not used before."""
+    kernel when it is freed, and a scratch set when its thread ends: from malloc,
+    an ended thread's set stayed resident in its arena, for a later thread."""
     count = math.prod(shape)
     nbytes = count * np.dtype(dtype).itemsize
     return np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), dtype, count).reshape(shape)
@@ -210,8 +206,7 @@ def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     array = getattr(_scratch_arrays, name, None)
     if array is None or array.shape != shape or array.dtype != dtype:
         array = _mapped(shape, dtype)
-        if array.nbytes <= _SCRATCH_MAX_BYTES:
-            setattr(_scratch_arrays, name, array)
+        setattr(_scratch_arrays, name, array)
     return array
 
 
@@ -228,33 +223,24 @@ def _spectrum_shape(n_samples: int, params: StftParams) -> tuple[int, int]:
     return -(-(n_samples + w) // h) + 1, w // 2 + 1
 
 
-def _signal_scratch(n_frames: int, w: int, h: int) -> np.ndarray:
-    """This thread's one signal-length scratch array, ``(n_frames + ceil(w/h) - 1) * h``
-    samples: the padded STFT input and the overlap-add output, in whole hops.
-
-    No call has both alive: the padded signal is spent once its frames are
-    copied, and the overlap-add runs after a call's last forward STFT.
-    """
-    return _scratch("signal", ((n_frames - (-w // h) - 1) * h,))
-
-
-def _stft_into(samples: np.ndarray, params: StftParams, out: np.ndarray) -> np.ndarray:
-    """Write the frame-major spectrum of ``samples`` into ``out`` and return it.
-
-    ``out`` has the shape :func:`_spectrum_shape` gives. The padded signal and
-    the windowed frames live in this thread's scratch arrays ``"signal"`` and
-    ``"frames"``; both are spent once this returns.
-    """
-    w, h = params.window_size, params.hop
-    n_frames = out.shape[0]
-    padded = _signal_scratch(n_frames, w, h)[:w + (n_frames - 1) * h]
-    padded[:w] = 0.0
-    padded[w:w + samples.size] = samples
-    padded[w + samples.size:] = 0.0
-    frames = _scratch("frames", (n_frames, w))
-    # a contiguous copy multiplies faster than the strided view it is taken from
-    np.copyto(frames, np.lib.stride_tricks.sliding_window_view(padded, w)[::h])
-    frames *= _periodic_hann(w)
+def _stft_block(samples: np.ndarray, m0: int, window: np.ndarray, hop: int,
+                out: np.ndarray) -> np.ndarray:
+    """Write the spectra of frames ``m0, m0 + 1, ...`` of ``samples``, padded by
+    a window of zeros in front and zeros behind, into ``out`` (one row per
+    frame, at most a block) and return it."""
+    k, w = out.shape[0], window.size
+    segment = _scratch("segment", ((_BLOCK_FRAMES - 1) * hop + w,))[:(k - 1) * hop + w]
+    start = m0 * hop - w  # the sample segment[0] holds
+    j0, j1 = (min(max(j, 0), segment.size) for j in (-start, samples.size - start))
+    segment[:j0] = 0.0
+    segment[j0:j1] = samples[start + j0:start + j1]
+    segment[j1:] = 0.0
+    frames = _scratch("frames", (_BLOCK_FRAMES, w))[:k]
+    # the frames as a view of the segment (sliding_window_view takes longer to
+    # build it than a block takes to copy); a contiguous copy multiplies faster
+    step = segment.itemsize
+    np.copyto(frames, np.ndarray((k, w), segment.dtype, segment, strides=(hop * step, step)))
+    frames *= window
     return np.fft.rfft(frames, axis=1, out=out)
 
 
@@ -269,64 +255,75 @@ def stft(waveform: Waveform, params: StftParams | None = None) -> np.ndarray:
     """
     params = params or StftParams()
     spectrum = np.empty(_spectrum_shape(waveform.samples.size, params), np.complex128)
-    return _stft_into(waveform.samples, params, spectrum).T
+    window = _periodic_hann(params.window_size)
+    for m0 in range(0, spectrum.shape[0], _BLOCK_FRAMES):
+        _stft_block(waveform.samples, m0, window, params.hop,
+                    spectrum[m0:m0 + _BLOCK_FRAMES])
+    return spectrum.T
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum frames placed ``hop`` apart: (n_frames, w) -> (w + (n_frames-1)*hop,).
-
-    Column k*hop + r of frame m is sample (m+k)*hop + r, which is row m+k of a
-    (rows, hop) view of the output, so one slice-add per chunk k places every
-    frame's chunk k at once. Chunks go in descending k, so each sample gets its
-    frames in ascending frame order: the same additions in the same order as a
-    per-frame loop, hence the same bits. The result is a view of this thread's
-    scratch array ``"signal"``.
-    """
-    n_frames, w = frames.shape
-    n_chunks = -(-w // hop)
-    out = _signal_scratch(n_frames, w, hop).reshape(n_frames + n_chunks - 1, hop)
-    out.fill(0.0)
-    for k in reversed(range(n_chunks)):
-        width = min(hop, w - k * hop)
-        out[k:k + n_frames, :width] += frames[:, k * hop:k * hop + width]
-    return out.reshape(-1)[:w + (n_frames - 1) * hop]
-
-
-def _synthesis_norm(window: np.ndarray, hop: int,
+def _synthesis_norm(window: np.ndarray, hop: int, rows: range,
                     n_frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(norm > 1e-12, max(norm, 1e-12))`` of the overlap-added squared window,
-    padding dropped, in mapped arrays; kept per thread for the last
-    ``(window, hop, n_frames)``, within the scratch size limit."""
-    key = (window.size, hop, n_frames)
-    cached = getattr(_scratch_arrays, "norm", None)
-    if cached is None or cached[0] != key:
-        norm = _overlap_add(np.broadcast_to(window ** 2, (n_frames, window.size)),
-                            hop)[window.size:]
-        cached = (key, np.greater(norm, 1e-12, out=_mapped(norm.shape, np.bool_)),
-                  np.maximum(norm, 1e-12, out=_mapped(norm.shape)))
-        if cached[2].nbytes <= _SCRATCH_MAX_BYTES:
-            _scratch_arrays.norm = cached
-    return cached[1], cached[2]
+    """``(norm <= 1e-12, max(norm, 1e-12))`` over hop-long output ``rows`` of the
+    squared window overlap-added over ``n_frames`` frames: row r takes chunk k
+    of frame r - k, in ascending frame order, as the signal does."""
+    w2 = window ** 2
+    norm = np.zeros((len(rows), hop))
+    for k in reversed(range(-(-window.size // hop))):
+        lo, hi = max(rows.start, k), min(rows.stop, n_frames + k)
+        if lo < hi:
+            width = min(hop, window.size - k * hop)
+            norm[lo - rows.start:hi - rows.start, :width] += w2[k * hop:k * hop + width]
+    return norm <= 1e-12, np.maximum(norm, 1e-12)
+
+
+def _istft_blocks(spectrum_of, n_frames: int, params: StftParams, length: int | None,
+                  sample_rate: int) -> Waveform:
+    """Overlap-add inverse of the frame-major spectrum ``spectrum_of(m0, m1)``
+    gives block by block, in ascending frame order.
+
+    Each sample gets its frames in ascending order, starting from 0.0, so the
+    bits are those of one overlap-add over all frames. A block's finished rows
+    are normalised at once. Every row before the last frame's start takes all
+    ``ceil(w / hop)`` frames, or lies in the padding that is dropped, so one
+    norm row serves them; the last block's rows get their own norm.
+    """
+    w, h = params.window_size, params.hop
+    length = (n_frames - 1) * h if length is None else length
+    if not 1 <= length <= (n_frames - 1) * h:
+        raise ValueError(f"length must be in [1, {(n_frames - 1) * h}] for {n_frames} "
+                         f"frames, got {length}")
+    window = _periodic_hann(w)
+    n_chunks = -(-w // h)
+    out = np.zeros((n_frames + n_chunks - 1, h))
+    period = _synthesis_norm(window, h, range(n_chunks - 1, n_chunks), n_frames)
+    frames = _scratch("frames", (_BLOCK_FRAMES, w))
+    for m0 in range(0, n_frames, _BLOCK_FRAMES):
+        m1 = min(m0 + _BLOCK_FRAMES, n_frames)
+        block = np.fft.irfft(spectrum_of(m0, m1), n=w, axis=1, out=frames[:m1 - m0])
+        block *= window
+        # chunk k of frame m is row m + k; descending chunks give each row this
+        # block's frames in ascending order
+        for k in reversed(range(n_chunks)):
+            width = min(h, w - k * h)
+            out[m0 + k:m1 + k, :width] += block[:, k * h:k * h + width]
+        rows = slice(m0, m1 if m1 < n_frames else len(out))
+        invalid, divisor = period if m1 < n_frames else _synthesis_norm(
+            window, h, range(rows.start, rows.stop), n_frames)
+        out[rows] /= divisor
+        np.copyto(out[rows], 0.0, where=invalid)
+    return Waveform(out.reshape(-1)[w:w + length], sample_rate)
 
 
 def istft(matrix: np.ndarray, params: StftParams | None = None,
           length: int | None = None, sample_rate: int = 16000) -> Waveform:
-    """Overlap-add inverse with synthesis-window normalization."""
+    """Overlap-add inverse with synthesis-window normalization, of ``length``
+    samples (all by default), which must lie in ``[1, (n_frames - 1) * hop]``."""
     params = params or StftParams()
-    w, h = params.window_size, params.hop
-    if matrix.shape[0] != w // 2 + 1:
+    if matrix.shape[0] != params.window_size // 2 + 1:
         raise ValueError("matrix bin count does not match window_size")
-    n_frames = matrix.shape[1]
-    window = _periodic_hann(w)
-    # before the overlap-add below: a new norm is overlap-added in the same scratch array
-    valid, divisor = _synthesis_norm(window, h, n_frames)
-    frames = np.fft.irfft(matrix.T, n=w, axis=1, out=_scratch("frames", (n_frames, w)))
-    frames *= window
-
-    out = _overlap_add(frames, h)[w:]
-    if length is not None:
-        out, valid, divisor = out[:length], valid[:length], divisor[:length]
-    return Waveform(np.where(valid, np.divide(out, divisor, out=out), 0.0), sample_rate)
+    return _istft_blocks(lambda m0, m1: matrix.T[m0:m1], matrix.shape[1], params,
+                         length, sample_rate)
 
 
 def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
@@ -340,25 +337,33 @@ def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
 
 def oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,
                params: StftParams) -> Waveform:
-    """``istft(mask * stft(mixture))`` with the ideal ratio mask of the two stems.
+    """``istft(mask * stft(mixture))`` with the ideal ratio mask of the two stems,
+    which must match the mixture's length and sample rate.
 
-    The three spectra pass through one of this thread's scratch arrays. The
-    target's power spectrum lives in another, the interference's in the
-    frames its STFT has spent, so nothing here is allocated per call.
+    The mask is elementwise per frame, so each block of frames goes from the
+    three stems' samples to the output in this thread's block-sized scratch.
     """
-    shape = n_frames, bins = _spectrum_shape(len(mixture), params)
-    spectrum = _scratch("spectrum", shape, np.complex128)
-    p_t = _scratch("power_0", shape)
-    np.abs(_stft_into(target.samples, params, spectrum), out=p_t)
-    np.square(p_t, out=p_t)
-    _stft_into(interference.samples, params, spectrum)
-    # p_i is spent by the mask, before the mixture's STFT writes frames over it
-    frames = _scratch("frames", (n_frames, params.window_size))
-    p_i = np.abs(spectrum, out=frames.reshape(-1)[:n_frames * bins].reshape(shape))
-    np.square(p_i, out=p_i)
-    mask = _irm_in_place(p_t, p_i)
-    masked = np.multiply(mask, _stft_into(mixture.samples, params, spectrum), out=spectrum)
-    return istft(masked.T, params, length=len(mixture), sample_rate=mixture.sample_rate)
+    for stem in (target, interference):
+        if len(stem) != len(mixture) or stem.sample_rate != mixture.sample_rate:
+            raise ValueError("oracle sources must align with the mixture")
+    n_frames, bins = _spectrum_shape(len(mixture), params)
+    window, hop = _periodic_hann(params.window_size), params.hop
+    spectrum = _scratch("spectrum", (_BLOCK_FRAMES, bins), np.complex128)
+    power = _scratch("power", (_BLOCK_FRAMES, bins))
+    frames = _scratch("frames", (_BLOCK_FRAMES, params.window_size)).reshape(-1)
+
+    def masked(m0: int, m1: int) -> np.ndarray:
+        spec, p_t = spectrum[:m1 - m0], power[:m1 - m0]
+        # the interference's power spectrum, in frames its STFT spent; the mask spends it
+        p_i = frames[:(m1 - m0) * bins].reshape(m1 - m0, bins)
+        for stem, p in ((target, p_t), (interference, p_i)):
+            np.abs(_stft_block(stem.samples, m0, window, hop, spec), out=p)
+            np.square(p, out=p)
+        mask = _irm_in_place(p_t, p_i)
+        return np.multiply(mask, _stft_block(mixture.samples, m0, window, hop, spec),
+                           out=spec)
+
+    return _istft_blocks(masked, n_frames, params, len(mixture), mixture.sample_rate)
 
 
 def tone_burst(freq_hz: float, duration_s: float, sample_rate: int,

@@ -30,7 +30,7 @@ from .harness import (DEFAULT_SNR_RANGE_DB, ConfigError, EnsembleDef, Experiment
                       _map_in_order)
 from .metrics import aggregate, scorer
 from .reporting import MetricsTriple, ReportRow, render_report
-from .separation import KIND_EXTERNAL, KIND_IDENTITY, KIND_ORACLE_IRM, SeparatorSpec
+from .separation import KIND_IDENTITY, KIND_ORACLE_IRM, SeparatorSpec
 
 logger = logging.getLogger(__name__)
 
@@ -96,9 +96,6 @@ def separate(spec: SeparatorSpec, mixture: Waveform, caption: str,
         if oracle_sources is None:
             raise ValueError("oracle_irm requires oracle_sources=(target, interference)")
         target, interference = oracle_sources
-        for stem in (target, interference):
-            if len(stem) != len(mixture) or stem.sample_rate != mixture.sample_rate:
-                raise ValueError("oracle sources must align with the mixture")
         return oracle_irm(mixture, target, interference, spec.stft_params)
     return _run_external(spec, mixture, caption)
 
@@ -239,11 +236,11 @@ def run_evaluation(config: ExperimentConfig,
 
     Clip by clip, each separator and then each ensemble makes and scores its
     estimate, which is written at once when an output directory is configured.
-    ``eval_set`` is read once, in its own order; the results, metrics CSVs
-    and report are those of the clips in clip_id order. A separator or
-    scoring failure on a clip (for example a silent reference with
-    ``epsilon=0``) excludes that clip from the separator's aggregate and is
-    reported, not fatal.
+    Clips run on ``EXTERNAL_PROCESS_BOUND`` worker threads. ``eval_set`` is
+    read once, in its own order; the results, metrics CSVs and report are
+    those of the clips in clip_id order. A separator or scoring failure on a
+    clip (for example a silent reference with ``epsilon=0``) excludes that
+    clip from the separator's aggregate and is reported, not fatal.
     """
     if not config.separators:
         raise ConfigError("no separators configured")
@@ -263,10 +260,9 @@ def run_evaluation(config: ExperimentConfig,
     estimators = {name: partial(run_separator, spec) for name, spec in config.separators}
     estimators.update((name, partial(combine, definition))
                       for name, definition in config.ensembles.items())
-    external = any(spec.kind == KIND_EXTERNAL for _, spec in config.separators)
     results = score_clips(eval_set, estimators, config.epsilon,
                           None if out_dir is None else out_dir / "estimates",
-                          EXTERNAL_PROCESS_BOUND if external else 0)
+                          EXTERNAL_PROCESS_BOUND)
     # sorted outputs, not inputs, so that the eval set is never held whole;
     # the aggregate then sums in clip_id order, whatever order the clips came in
     for result in results.values():

@@ -348,13 +348,12 @@ def _map_in_order(fn, items, workers: int) -> list:
     Augmentation gets them for the HTTP client, whose calls wait on the
     gateway; mock augmentation is pure Python under the GIL, where threads
     add overhead and no parallelism, and runs on the calling thread.
-    Evaluation gets them only with an external separator, whose clips wait
-    on its processes. Without one it runs on the calling thread too, although
-    its NumPy work releases the GIL: on a 2-core machine, scoring 100 4 s clips
-    with identity, ``oracle_irm`` and an ensemble took 1.37-1.39 s there and
-    0.78-0.89 s on 2 threads, for about the same CPU time and one more set of
-    ``audio`` scratch arrays per thread. The first exception, in item order,
-    propagates, and the items not yet started are dropped.
+    Evaluation always gets them: its NumPy work releases the GIL, and an
+    external separator's clips wait on its processes. On a 2-core machine,
+    evaluating 100 4 s clips with identity, ``oracle_irm`` and an ensemble
+    took 1.12-1.66 s on the calling thread and 0.75-0.81 s on 2 threads; a
+    thread's ``audio`` scratch costs about 1.5 MB. The first exception, in item
+    order, propagates, and the items not yet started are dropped.
     """
     if not workers:
         return list(map(fn, items))

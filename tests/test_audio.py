@@ -36,16 +36,20 @@ def _rand_wave(n, seed, rate=16000):
 
 
 def _scratch_mappings():
-    """Each of this thread's scratch arrays (the synthesis norm's two
-    included) by name, as the mmap that holds it."""
+    """Each of this thread's scratch arrays by name, as the mmap that holds it."""
     mappings = {}
-    for name, value in vars(audio._scratch_arrays).items():
-        arrays = value[1:] if name == "norm" else (value,)
-        for i, array in enumerate(arrays):
-            while isinstance(array, np.ndarray):
-                array = array.base
-            mappings[f"{name}[{i}]"] = array.obj
+    for name, array in vars(audio._scratch_arrays).items():
+        while isinstance(array, np.ndarray):
+            array = array.base
+        mappings[name] = array.obj
     return mappings
+
+
+def _length_for_frames(n_frames, window, hop, offset):
+    """A signal length whose STFT has ``n_frames`` frames, for any ``offset`` in
+    ``[0, hop)``: the frames cover the signal and a window of padding on each
+    side, so ``ceil((n + window) / hop) == n_frames - 1``."""
+    return (n_frames - 1) * hop - window - offset
 
 
 _PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -354,24 +358,20 @@ class TestStft:
             assert np.array_equal(istft(matrix, params, length=n).samples,
                                   istft_brute(matrix, window, hop, n))
 
-    def test_scratch_above_the_size_limit_is_not_kept(self, monkeypatch):
-        # at (256, 64) every intermediate of a 1,000-sample clip fits in 64 KiB
-        # and none of a 16,000-sample clip's does
-        monkeypatch.setattr(audio, "_SCRATCH_MAX_BYTES", 64 * 1024)
-        params = StftParams(window_size=256, hop=64)
-
-        def kept_after(n):
-            def run():
+    def test_stft_and_istft_kept_scratch_does_not_grow_with_the_clip(self):
+        # one block of frames at a time, so a 60 s clip keeps what a 4 s clip does
+        def kept_after(*lengths):
+            for n in lengths:
                 x = _rand_wave(n, n)
-                matrix = stft(x, params)
-                assert np.array_equal(matrix, stft_reference(x.samples, 256, 64))
-                assert np.array_equal(istft(matrix, params, length=n).samples,
-                                      istft_brute(matrix, 256, 64, n))
-                return dict(vars(audio._scratch_arrays))
-            return on_fresh_thread(run)
+                matrix = stft(x)
+                assert np.array_equal(matrix, stft_reference(x.samples, 1024, 256))
+                assert np.array_equal(istft(matrix, length=n).samples,
+                                      istft_brute(matrix, 1024, 256, n))
+            return {name: len(m) for name, m in _scratch_mappings().items()}
 
-        assert set(kept_after(1000)) == {"signal", "frames", "norm"}
-        assert kept_after(16000) == {}
+        short = on_fresh_thread(lambda: kept_after(64000))
+        assert set(short) == {"segment", "frames"}
+        assert on_fresh_thread(lambda: kept_after(64000, 960000)) == short
 
     def test_scratch_arrays_are_unmapped_when_their_thread_ends(self):
         # mapped, not malloc'd: an ended thread's scratch arrays would stay
@@ -381,8 +381,9 @@ class TestStft:
             matrix = stft(x)
             assert np.array_equal(istft(matrix, length=len(x)).samples,
                                   istft_brute(matrix, 1024, 256, len(x)))
+            oracle_irm(x, _rand_wave(4096, 6), _rand_wave(4096, 7), StftParams())
             mappings = _scratch_mappings()
-            assert set(mappings) == {"signal[0]", "frames[0]", "norm[0]", "norm[1]"}
+            assert set(mappings) == {"segment", "frames", "spectrum", "power"}
             assert all(isinstance(m, mmap.mmap) for m in mappings.values())
             return [weakref.ref(m) for m in mappings.values()]
 
@@ -390,19 +391,62 @@ class TestStft:
         gc.collect()
         assert [m() for m in mappings] == [None] * 4
 
-    def test_oracle_irm_scratch_set_is_five_arrays_within_6_4_mb(self):
-        # one signal-length array serves the padded input and the overlap-add,
-        # and the interference's power spectrum lives in the spent frames
-        def run():
-            target, interference, mixture = (_rand_wave(64000, seed) for seed in range(3))
-            estimate = oracle_irm(mixture, target, interference, StftParams())
-            assert np.array_equal(estimate.samples, oracle_irm_reference(
-                mixture.samples, target.samples, interference.samples, 1024, 256))
-            return set(vars(audio._scratch_arrays)), _scratch_mappings()
+    def test_oracle_irm_kept_scratch_is_within_1_5_mb_whatever_the_clip_length(self):
+        def kept_after(*lengths):
+            for n in lengths:
+                target, interference, mixture = (_rand_wave(n, n + seed) for seed in range(3))
+                estimate = oracle_irm(mixture, target, interference, StftParams())
+                assert np.array_equal(estimate.samples, oracle_irm_reference(
+                    mixture.samples, target.samples, interference.samples, 1024, 256))
+            return {name: len(m) for name, m in _scratch_mappings().items()}
 
-        names, mappings = on_fresh_thread(run)
-        assert names == {"signal", "frames", "spectrum", "power_0", "norm"}
-        assert sum(len(m) for m in mappings.values()) <= 6.4e6
+        short = on_fresh_thread(lambda: kept_after(64000))
+        assert sum(short.values()) <= 1.5e6
+        assert on_fresh_thread(lambda: kept_after(64000, 960000)) == short
+
+    def test_istft_refuses_a_length_it_cannot_honour(self):
+        matrix = stft(_rand_wave(4096, 1))  # 21 frames, so 5,120 samples at most
+        for length in (100000, 5121, 0, -5):
+            with pytest.raises(ValueError, match="length must be in"):
+                istft(matrix, length=length)
+        assert len(istft(matrix, length=5120)) == len(istft(matrix)) == 5120
+        assert len(istft(matrix, length=1)) == 1
+
+    @pytest.mark.parametrize("window, hop", ISTFT_GRID)
+    @settings(max_examples=5, deadline=None)
+    @given(draw=st.integers(0, 2 ** 32 - 1))
+    def test_block_kernels_match_the_references(self, window, hop, draw):
+        # frame counts under one block, of exactly one, one plus one, and
+        # several blocks plus a remainder
+        rng = np.random.default_rng(draw)
+        block = audio._BLOCK_FRAMES
+        fewest = -(-2 * window // hop) + 2  # the fewest frames of a signal >= a window
+        params = StftParams(window_size=window, hop=hop)
+        for n_frames in (int(rng.integers(fewest, block)), block, block + 1,
+                         int(rng.integers(2, 5)) * block + int(rng.integers(1, block))):
+            n = _length_for_frames(n_frames, window, hop, int(rng.integers(0, hop)))
+            mixture, target, interference = (Waveform(0.1 * rng.standard_normal(n), 16000)
+                                             for _ in range(3))
+            matrix = stft(mixture, params)
+            assert matrix.shape[1] == n_frames
+            assert np.array_equal(matrix, stft_reference(mixture.samples, window, hop))
+            masked = _masked_spectrum(mixture, params, draw)
+            assert np.array_equal(istft(masked, params, length=n).samples,
+                                  istft_brute(masked, window, hop, n))
+            assert np.array_equal(istft(masked, params).samples,
+                                  istft_brute(masked, window, hop))
+            assert np.array_equal(
+                oracle_irm(mixture, target, interference, params).samples,
+                oracle_irm_reference(mixture.samples, target.samples, interference.samples,
+                                     window, hop))
+
+    def test_oracle_irm_refuses_stems_that_do_not_align(self):
+        mixture = _rand_wave(16000, 0)
+        for stem in (_rand_wave(12000, 1), _rand_wave(20000, 1), _rand_wave(16000, 1, 8000)):
+            for target, interference in ((stem, _rand_wave(16000, 2)),
+                                         (_rand_wave(16000, 2), stem)):
+                with pytest.raises(ValueError, match="oracle sources must align"):
+                    oracle_irm(mixture, target, interference, StftParams())
 
     def test_stft_results_do_not_share_memory(self):
         a = stft(_rand_wave(4096, 3))

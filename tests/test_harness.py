@@ -651,6 +651,8 @@ class TestRunEvaluation:
             return estimate
 
         monkeypatch.setattr(evaluation, "separate", recording_separate)
+        # on the calling thread, so that one clip is in flight at a time
+        monkeypatch.setattr(evaluation, "EXTERNAL_PROCESS_BOUND", 0)
         items = make_synthetic_eval_set(4, seed=7, duration_s=0.25)
         result = run_evaluation(_eval_config(
             tmp_path, ensembles={"pair": EnsembleDef(members=("identity", "oracle"))}), items)
@@ -744,6 +746,35 @@ class TestRunEvaluation:
                    hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in Path("eval").rglob("*") if path.is_file()}
         assert digests == EVAL_DIGESTS
+
+    def test_in_process_separators_give_the_same_bytes_on_worker_threads(self, tmp_path,
+                                                                         monkeypatch):
+        config = ExperimentConfig(
+            separators=[("identity", SeparatorSpec(kind="identity")),
+                        ("oracle_irm", SeparatorSpec(kind="oracle_irm"))],
+            ensembles={"ens": EnsembleDef(members=("identity", "oracle_irm"),
+                                          weights=(0.5, 0.5))},
+            out_dir="eval")
+        workers_used, real_map = [], evaluation._map_in_order
+
+        def recording_map(fn, items, workers):
+            workers_used.append(workers)
+            return real_map(fn, items, workers)
+
+        monkeypatch.setattr(evaluation, "_map_in_order", recording_map)
+        runs = []
+        for workers in (0, 2):
+            monkeypatch.setattr(evaluation, "EXTERNAL_PROCESS_BOUND", workers)
+            # the same relative out_dir, so that report.md's config hash matches
+            (tmp_path / str(workers)).mkdir()
+            monkeypatch.chdir(tmp_path / str(workers))
+            run_evaluation(config, make_synthetic_eval_set(6, seed=16, duration_s=0.5,
+                                                           snr_db=None))
+            runs.append({path.relative_to("eval").as_posix(): path.read_bytes()
+                         for path in Path("eval").rglob("*") if path.is_file()})
+        assert workers_used == [0, 2]
+        assert len(runs[0]) == 3 * 6 + 3 + 1  # WAVs, CSVs and report.md
+        assert runs[0] == runs[1]
 
     def test_outputs_do_not_depend_on_input_order(self, tmp_path, monkeypatch):
         # the external identity refuses the "beep" captions (clip_001, clip_005), so

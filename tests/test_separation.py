@@ -117,20 +117,23 @@ class TestOracleIrm:
         assert np.array_equal(_irm(mixed.target, mixed.interference), irm_mask_reference(
             mixed.target.samples, mixed.interference.samples, 1024, 256))
 
-    def test_bits_unchanged_when_no_scratch_is_kept(self, monkeypatch):
-        # with a size limit of 0 every intermediate is a fresh array, freed with its call
-        monkeypatch.setattr(audio, "_SCRATCH_MAX_BYTES", 0)
+    def test_bits_unchanged_for_any_block_size(self, monkeypatch):
         mixed = _tone_noise_mixture(seed=5)
+        expected = oracle_irm_reference(mixed.mixture.samples, mixed.target.samples,
+                                        mixed.interference.samples, 1024, 256)
 
         def run():
             estimate = separate(SeparatorSpec(kind="oracle_irm"), mixed.mixture, "",
                                 (mixed.target, mixed.interference))
-            return estimate, dict(vars(audio._scratch_arrays))
+            return estimate, audio._scratch_arrays.frames.shape
 
-        estimate, kept = on_fresh_thread(run)
-        assert kept == {}
-        assert np.array_equal(estimate.samples, oracle_irm_reference(
-            mixed.mixture.samples, mixed.target.samples, mixed.interference.samples, 1024, 256))
+        # a block of one frame, a block size that leaves a remainder (130
+        # frames), and one block for the whole clip
+        for block_frames in (1, 3, 1000):
+            monkeypatch.setattr(audio, "_BLOCK_FRAMES", block_frames)
+            estimate, frames_shape = on_fresh_thread(run)
+            assert frames_shape == (block_frames, 1024)
+            assert np.array_equal(estimate.samples, expected)
 
     def test_two_threads_give_the_serial_bits(self):
         # each thread has its own scratch arrays; shared ones would mix clips
