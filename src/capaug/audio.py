@@ -2,16 +2,14 @@
 
 Samples are float64. Mono PCM16 and IEEE float32 WAVs are read, PCM16 divided
 by 32768 so that -32768 is exactly -1.0; float32 is written. The STFT kernels
-work a block of frames at a time, so their per-thread scratch does not grow
-with the clip.
+work a block of frames at a time, through buffers that each call allocates
+once, so their working memory does not grow with the clip.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,35 +177,12 @@ def mix(target: Waveform, interference: Waveform, snr_db: float) -> MixResult:
     )
 
 
-# The STFT runs in blocks of this many frames through per-thread scratch of one
-# block (about 1.46 MB at the default STFT, whatever the clip's length), which
-# concurrent separator threads never share; an array is reallocated only when
-# its shape changes. Blocks of 32 frames took about 20% longer per clip on two
-# threads: twice the NumPy calls, each a hand-off of the interpreter lock.
+# The STFT runs in blocks of this many frames, through buffers of one block
+# that each call allocates once (about 1.7 MB for oracle_irm at the default
+# STFT, whatever the clip's length), so concurrent calls share none. Blocks of
+# 32 frames took about 20% longer per clip on two threads: twice the NumPy
+# calls, each a hand-off of the interpreter lock.
 _BLOCK_FRAMES = 64
-_scratch_arrays = threading.local()
-
-
-def _mapped(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """A new array on an anonymous mmap, not malloc, so its pages go back to the
-    kernel when it is freed, and a scratch set when its thread ends: from malloc,
-    an ended thread's set stayed resident in its arena, for a later thread."""
-    count = math.prod(shape)
-    nbytes = count * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), dtype, count).reshape(shape)
-
-
-def _scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """This thread's reusable array ``name``, reallocated when the shape or dtype changes.
-
-    Its contents are whatever the last user left; it must not escape the call
-    that asked for it.
-    """
-    array = getattr(_scratch_arrays, name, None)
-    if array is None or array.shape != shape or array.dtype != dtype:
-        array = _mapped(shape, dtype)
-        setattr(_scratch_arrays, name, array)
-    return array
 
 
 def _periodic_hann(n: int) -> np.ndarray:
@@ -223,19 +198,25 @@ def _spectrum_shape(n_samples: int, params: StftParams) -> tuple[int, int]:
     return -(-(n_samples + w) // h) + 1, w // 2 + 1
 
 
+def _block_buffers(params: StftParams) -> tuple[np.ndarray, np.ndarray]:
+    """The padded samples and the frames of one block, for :func:`_stft_block`."""
+    w = params.window_size
+    return np.empty((_BLOCK_FRAMES - 1) * params.hop + w), np.empty((_BLOCK_FRAMES, w))
+
+
 def _stft_block(samples: np.ndarray, m0: int, window: np.ndarray, hop: int,
-                out: np.ndarray) -> np.ndarray:
+                segment: np.ndarray, frames: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the spectra of frames ``m0, m0 + 1, ...`` of ``samples``, padded by
     a window of zeros in front and zeros behind, into ``out`` (one row per
-    frame, at most a block) and return it."""
+    frame, at most a block) through the :func:`_block_buffers`, and return it."""
     k, w = out.shape[0], window.size
-    segment = _scratch("segment", ((_BLOCK_FRAMES - 1) * hop + w,))[:(k - 1) * hop + w]
+    segment = segment[:(k - 1) * hop + w]
     start = m0 * hop - w  # the sample segment[0] holds
     j0, j1 = (min(max(j, 0), segment.size) for j in (-start, samples.size - start))
     segment[:j0] = 0.0
     segment[j0:j1] = samples[start + j0:start + j1]
     segment[j1:] = 0.0
-    frames = _scratch("frames", (_BLOCK_FRAMES, w))[:k]
+    frames = frames[:k]
     # the frames as a view of the segment (sliding_window_view takes longer to
     # build it than a block takes to copy); a contiguous copy multiplies faster
     step = segment.itemsize
@@ -256,8 +237,9 @@ def stft(waveform: Waveform, params: StftParams | None = None) -> np.ndarray:
     params = params or StftParams()
     spectrum = np.empty(_spectrum_shape(waveform.samples.size, params), np.complex128)
     window = _periodic_hann(params.window_size)
+    segment, frames = _block_buffers(params)
     for m0 in range(0, spectrum.shape[0], _BLOCK_FRAMES):
-        _stft_block(waveform.samples, m0, window, params.hop,
+        _stft_block(waveform.samples, m0, window, params.hop, segment, frames,
                     spectrum[m0:m0 + _BLOCK_FRAMES])
     return spectrum.T
 
@@ -278,9 +260,9 @@ def _synthesis_norm(window: np.ndarray, hop: int, rows: range,
 
 
 def _istft_blocks(spectrum_of, n_frames: int, params: StftParams, length: int | None,
-                  sample_rate: int) -> Waveform:
+                  sample_rate: int, frames: np.ndarray) -> Waveform:
     """Overlap-add inverse of the frame-major spectrum ``spectrum_of(m0, m1)``
-    gives block by block, in ascending frame order.
+    gives block by block, in ascending frame order, through the block ``frames``.
 
     Each sample gets its frames in ascending order, starting from 0.0, so the
     bits are those of one overlap-add over all frames. A block's finished rows
@@ -297,7 +279,6 @@ def _istft_blocks(spectrum_of, n_frames: int, params: StftParams, length: int | 
     n_chunks = -(-w // h)
     out = np.zeros((n_frames + n_chunks - 1, h))
     period = _synthesis_norm(window, h, range(n_chunks - 1, n_chunks), n_frames)
-    frames = _scratch("frames", (_BLOCK_FRAMES, w))
     for m0 in range(0, n_frames, _BLOCK_FRAMES):
         m1 = min(m0 + _BLOCK_FRAMES, n_frames)
         block = np.fft.irfft(spectrum_of(m0, m1), n=w, axis=1, out=frames[:m1 - m0])
@@ -323,7 +304,7 @@ def istft(matrix: np.ndarray, params: StftParams | None = None,
     if matrix.shape[0] != params.window_size // 2 + 1:
         raise ValueError("matrix bin count does not match window_size")
     return _istft_blocks(lambda m0, m1: matrix.T[m0:m1], matrix.shape[1], params,
-                         length, sample_rate)
+                         length, sample_rate, np.empty((_BLOCK_FRAMES, params.window_size)))
 
 
 def _irm_in_place(p_t: np.ndarray, p_i: np.ndarray) -> np.ndarray:
@@ -341,29 +322,28 @@ def oracle_irm(mixture: Waveform, target: Waveform, interference: Waveform,
     which must match the mixture's length and sample rate.
 
     The mask is elementwise per frame, so each block of frames goes from the
-    three stems' samples to the output in this thread's block-sized scratch.
+    three stems' samples to the output in block-sized buffers.
     """
     for stem in (target, interference):
         if len(stem) != len(mixture) or stem.sample_rate != mixture.sample_rate:
             raise ValueError("oracle sources must align with the mixture")
     n_frames, bins = _spectrum_shape(len(mixture), params)
     window, hop = _periodic_hann(params.window_size), params.hop
-    spectrum = _scratch("spectrum", (_BLOCK_FRAMES, bins), np.complex128)
-    power = _scratch("power", (_BLOCK_FRAMES, bins))
-    frames = _scratch("frames", (_BLOCK_FRAMES, params.window_size)).reshape(-1)
+    segment, frames = _block_buffers(params)
+    spectrum = np.empty((_BLOCK_FRAMES, bins), np.complex128)
+    powers = np.empty((2, _BLOCK_FRAMES, bins))
 
     def masked(m0: int, m1: int) -> np.ndarray:
-        spec, p_t = spectrum[:m1 - m0], power[:m1 - m0]
-        # the interference's power spectrum, in frames its STFT spent; the mask spends it
-        p_i = frames[:(m1 - m0) * bins].reshape(m1 - m0, bins)
+        spec, p_t, p_i = spectrum[:m1 - m0], powers[0, :m1 - m0], powers[1, :m1 - m0]
         for stem, p in ((target, p_t), (interference, p_i)):
-            np.abs(_stft_block(stem.samples, m0, window, hop, spec), out=p)
+            np.abs(_stft_block(stem.samples, m0, window, hop, segment, frames, spec), out=p)
             np.square(p, out=p)
         mask = _irm_in_place(p_t, p_i)
-        return np.multiply(mask, _stft_block(mixture.samples, m0, window, hop, spec),
-                           out=spec)
+        mixture_spec = _stft_block(mixture.samples, m0, window, hop, segment, frames, spec)
+        return np.multiply(mask, mixture_spec, out=spec)
 
-    return _istft_blocks(masked, n_frames, params, len(mixture), mixture.sample_rate)
+    return _istft_blocks(masked, n_frames, params, len(mixture), mixture.sample_rate,
+                         frames)
 
 
 def tone_burst(freq_hz: float, duration_s: float, sample_rate: int,

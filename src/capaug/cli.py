@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -188,16 +189,17 @@ def cmd_eval(args) -> int:
     if not names:
         raise ConfigError(f"no WAV files in {est_dir}")
 
-    # read one clip at a time, as it is scored
+    # read one clip at a time, as it is scored; per-clip paths through os.path,
+    # as in evaluation.score_clips
     def load(name: str) -> harness.EvalItem:
-        ref_path, mix_path = ref_dir / name, mix_dir / name
-        if not ref_path.exists() or not mix_path.exists():
+        ref_path, mix_path = os.path.join(ref_dir, name), os.path.join(mix_dir, name)
+        if not os.path.exists(ref_path) or not os.path.exists(mix_path):
             raise ConfigError(f"missing reference or mixture for {name}")
-        return harness.EvalItem(Path(name).stem, capaug.read_wav(mix_path),
+        return harness.EvalItem(os.path.splitext(name)[0], capaug.read_wav(mix_path),
                                 capaug.read_wav(ref_path), caption="")
 
-    estimators = {str(est_dir):
-                  lambda item, _: capaug.read_wav(est_dir / f"{item.clip_id}.wav")}
+    estimators = {str(est_dir): lambda item, _: capaug.read_wav(
+        os.path.join(est_dir, item.clip_id + ".wav"))}
     [result] = harness.score_clips(map(load, names), estimators, epsilon).values()
     harness.write_per_clip_csv(Path(args.out), result.per_clip)
     if result.failed:

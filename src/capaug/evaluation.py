@@ -170,8 +170,8 @@ def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def score_clips(items, estimators, epsilon: float, est_dir: Path | None = None,
-                workers: int = 0) -> dict[str, SeparatorResult]:
+def score_clips(items, estimators, epsilon: float,
+                est_dir: Path | None = None) -> dict[str, SeparatorResult]:
     """Score every estimator on each item, clip by clip, in the order given.
 
     ``estimators`` maps a name to ``estimate_of(item, estimates)``, where
@@ -182,8 +182,9 @@ def score_clips(items, estimators, epsilon: float, est_dir: Path | None = None,
     (for example a silent reference with ``epsilon=0``) is listed in every
     name's, and no estimate of it is made. With ``est_dir``, estimates are
     written to ``est_dir/<name>/`` as soon as they are scored. A clip's
-    estimates are freed once it is done; ``workers`` > 0 runs that many clips
-    at once. No aggregate is set: :func:`run_evaluation` forms it in clip_id order.
+    estimates are freed once it is done. Clips run on ``EXTERNAL_PROCESS_BOUND``
+    worker threads. No aggregate is set: :func:`run_evaluation` forms it in
+    clip_id order.
     """
     results = {name: SeparatorResult(name=name) for name in estimators}
     # per-clip paths through os.path: pathlib interns each component, and a
@@ -217,7 +218,7 @@ def score_clips(items, estimators, epsilon: float, est_dir: Path | None = None,
                 write_wav(os.path.join(est_dirs[name], item.clip_id + ".wav"), estimate)
         return item.clip_id, triples
 
-    for clip_id, triples in _map_in_order(step, items, workers):
+    for clip_id, triples in _map_in_order(step, items, EXTERNAL_PROCESS_BOUND):
         for name, result in results.items():
             if name in triples:
                 result.per_clip.append(ClipScore(clip_id, triples[name]))
@@ -234,13 +235,13 @@ def run_evaluation(config: ExperimentConfig,
                    eval_set: Iterable[EvalItem]) -> EvaluationResult:
     """Evaluate every configured separator and ensemble on an eval set.
 
-    Clip by clip, each separator and then each ensemble makes and scores its
-    estimate, which is written at once when an output directory is configured.
-    Clips run on ``EXTERNAL_PROCESS_BOUND`` worker threads. ``eval_set`` is
-    read once, in its own order; the results, metrics CSVs and report are
-    those of the clips in clip_id order. A separator or scoring failure on a
-    clip (for example a silent reference with ``epsilon=0``) excludes that
-    clip from the separator's aggregate and is reported, not fatal.
+    Clip by clip, through :func:`score_clips`, each separator and then each
+    ensemble makes and scores its estimate, which is written at once when an
+    output directory is configured. ``eval_set`` is read once, in its own
+    order; the results, metrics CSVs and report are those of the clips in
+    clip_id order. A separator or scoring failure on a clip (for example a
+    silent reference with ``epsilon=0``) excludes that clip from the
+    separator's aggregate and is reported, not fatal.
     """
     if not config.separators:
         raise ConfigError("no separators configured")
@@ -261,8 +262,7 @@ def run_evaluation(config: ExperimentConfig,
     estimators.update((name, partial(combine, definition))
                       for name, definition in config.ensembles.items())
     results = score_clips(eval_set, estimators, config.epsilon,
-                          None if out_dir is None else out_dir / "estimates",
-                          EXTERNAL_PROCESS_BOUND)
+                          None if out_dir is None else out_dir / "estimates")
     # sorted outputs, not inputs, so that the eval set is never held whole;
     # the aggregate then sums in clip_id order, whatever order the clips came in
     for result in results.values():

@@ -320,23 +320,37 @@ def _write_stats(stats: AugmentationStats, path) -> None:
         fh.write(f',\n  "totals": {_json_value(stats.totals(), "  ")}\n}}\n')
 
 
-def _load_previous_run(out_dir: Path,
+def _refuse_other_config(out_dir: Path, field: str, previous, current) -> None:
+    if previous != current:
+        raise ConfigError(f"{out_dir} holds a run with {field} {previous!r}, not "
+                          f"{current!r}; rerun with --no-resume to replace it")
+
+
+def _load_previous_run(out_dir: Path, config: ExperimentConfig,
                        ) -> dict[str, tuple[corpus.ClipEntry, ClipAugmentation]]:
     """The clips an earlier run in ``out_dir`` completed: entry and stats by clip id.
 
     A clip that failed at the gateway, or that the earlier manifest lacks, is
-    left out, so a resume processes it again.
+    left out, so a resume processes it again. A run made with another seed,
+    prompt kind or caption count raises :class:`ConfigError`: its captions are
+    not the ones ``config`` would make.
     """
     manifest_path = out_dir / MANIFEST_FILENAME
     stats_path = out_dir / STATS_FILENAME
     if not manifest_path.exists() or not stats_path.exists():
         return {}
-    entries = {entry.clip_id: entry for entry in read_manifest(manifest_path).entries}
+    previous = read_manifest(manifest_path)
+    for field_name in ("seed", "prompt_kind"):
+        _refuse_other_config(out_dir, field_name, previous.metadata.get(field_name),
+                             getattr(config, field_name))
+    entries = {entry.clip_id: entry for entry in previous.entries}
     doc = json.loads(stats_path.read_text(encoding="utf-8"))
     carried = {}
     for cid, clip_doc in doc.get("per_clip", {}).items():
         clip_stats = ClipAugmentation.from_dict(cid, clip_doc)
         if cid in entries and not clip_stats.gateway_failed:
+            _refuse_other_config(out_dir, f"clip {cid!r} requested", clip_stats.requested,
+                                 config.requested_count)
             carried[cid] = (entries[cid], clip_stats)
     return carried
 
@@ -351,9 +365,10 @@ def _map_in_order(fn, items, workers: int) -> list:
     Evaluation always gets them: its NumPy work releases the GIL, and an
     external separator's clips wait on its processes. On a 2-core machine,
     evaluating 100 4 s clips with identity, ``oracle_irm`` and an ensemble
-    took 1.12-1.66 s on the calling thread and 0.75-0.81 s on 2 threads; a
-    thread's ``audio`` scratch costs about 1.5 MB. The first exception, in item
-    order, propagates, and the items not yet started are dropped.
+    took 1.12-1.66 s on the calling thread and 0.75-0.81 s on 2 threads; an
+    ``audio`` STFT call holds about 1.7 MB of block buffers while it runs.
+    The first exception, in item order, propagates, and the items not yet
+    started are dropped.
     """
     if not workers:
         return list(map(fn, items))
@@ -419,7 +434,8 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
     Gateway failures skip the clip and the run continues; the run aborts if
     more than half of the clips fail. With ``resume`` enabled and an existing
     output directory, previously completed clips are carried over unchanged
-    and only missing or failed clips are processed.
+    and only missing or failed clips are processed; a directory that another
+    seed, prompt kind or caption count made raises :class:`ConfigError`.
     """
     if manifest is None:
         if not config.manifest_path:
@@ -432,7 +448,7 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
     template = builtin_template(config.prompt_kind)
 
     out_dir = Path(config.out_dir) if config.out_dir else None
-    carried = _load_previous_run(out_dir) if resume and out_dir is not None else {}
+    carried = _load_previous_run(out_dir, config) if resume and out_dir is not None else {}
     if carried:
         logger.info("resume: %d completed clips found in %s", len(carried), out_dir)
 

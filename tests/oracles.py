@@ -10,7 +10,6 @@ the frames itself.
 import json
 import math
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -95,13 +94,6 @@ def scores_squared_reference(estimate, mixture, reference, eps=0.0):
         else:
             si_sdr = ratio_db(target_energy, err_energy)
     return est_sdr, est_sdr - mixture_sdr, si_sdr
-
-
-def on_fresh_thread(fn):
-    """``fn()`` run on a new thread, which starts with no ``audio`` scratch arrays
-    and unmaps them when it ends; returns what ``fn`` returns."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(fn).result()
 
 
 def mix_gain_brute(target, interference, snr_db):

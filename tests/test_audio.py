@@ -1,9 +1,7 @@
-import gc
 import math
-import mmap
 import struct
 import tempfile
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +13,8 @@ from scipy.io import wavfile
 from capaug import audio
 from capaug.audio import (StftParams, Waveform, WavFormatError, istft, mix, oracle_irm,
                           read_wav, stft, tone_burst, white_noise, write_wav)
-from oracles import (istft_brute, mix_gain_brute, on_fresh_thread, oracle_irm_reference,
-                     stft_reference, tone_burst_reference)
+from oracles import (istft_brute, mix_gain_brute, oracle_irm_reference, stft_reference,
+                     tone_burst_reference)
 
 # (window, hop) pairs: hops dividing the window, hops equal to it, and a hop
 # that does not divide it
@@ -35,14 +33,16 @@ def _rand_wave(n, seed, rate=16000):
     return Waveform(0.1 * rng.standard_normal(n), rate)
 
 
-def _scratch_mappings():
-    """Each of this thread's scratch arrays by name, as the mmap that holds it."""
-    mappings = {}
-    for name, array in vars(audio._scratch_arrays).items():
-        while isinstance(array, np.ndarray):
-            array = array.base
-        mappings[name] = array.obj
-    return mappings
+def _kept_after(call):
+    """Bytes that ``call()`` leaves allocated once it returns, as tracemalloc
+    counts them (NumPy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def _length_for_frames(n_frames, window, hop, offset):
@@ -348,8 +348,8 @@ class TestStft:
 
     @pytest.mark.parametrize("window, hop", ISTFT_GRID)
     def test_stft_and_istft_bits_unchanged_as_shapes_change(self, window, hop):
-        # consecutive calls on one thread change the frame count, so a scratch
-        # array kept from the previous shape would show here
+        # consecutive calls change the frame count, so a buffer sized for an
+        # earlier call would show here
         params = StftParams(window_size=window, hop=hop)
         for seed, n in enumerate((window * 3 + 7, 16000, window * 5, window, 16000)):
             x = _rand_wave(n, seed)
@@ -358,51 +358,58 @@ class TestStft:
             assert np.array_equal(istft(matrix, params, length=n).samples,
                                   istft_brute(matrix, window, hop, n))
 
+    def test_working_memory_does_not_grow_with_the_clip(self):
+        # block-sized buffers, allocated once per call: beyond the arrays that
+        # grow with the clip (the result, and the byte per sample of a Waveform's
+        # finiteness check), a 60 s clip takes what a 4 s clip does
+        def working_memory(call):
+            tracemalloc.start()
+            try:
+                result = call()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return result, peak - kept - (len(result) if isinstance(result, Waveform) else 0)
+
+        for n in (64000, 960000):
+            mixture, target, interference = (_rand_wave(n, n + seed) for seed in range(3))
+            matrix, used = working_memory(lambda: stft(mixture))
+            assert used < 3e6
+            assert np.array_equal(matrix, stft_reference(mixture.samples, 1024, 256))
+            estimate, used = working_memory(lambda: istft(matrix, length=n))
+            assert used < 3e6
+            assert np.array_equal(estimate.samples, istft_brute(matrix, 1024, 256, n))
+            estimate, used = working_memory(
+                lambda: oracle_irm(mixture, target, interference, StftParams()))
+            assert used < 3e6
+            assert np.array_equal(estimate.samples, oracle_irm_reference(
+                mixture.samples, target.samples, interference.samples, 1024, 256))
+
     def test_stft_and_istft_kept_scratch_does_not_grow_with_the_clip(self):
-        # one block of frames at a time, so a 60 s clip keeps what a 4 s clip does
-        def kept_after(*lengths):
+        # nothing outlives a call, so a 60 s clip leaves behind what a 4 s clip
+        # does: less than a page, where one block of frames is 512 kB
+        def run(*lengths):
             for n in lengths:
                 x = _rand_wave(n, n)
                 matrix = stft(x)
                 assert np.array_equal(matrix, stft_reference(x.samples, 1024, 256))
                 assert np.array_equal(istft(matrix, length=n).samples,
                                       istft_brute(matrix, 1024, 256, n))
-            return {name: len(m) for name, m in _scratch_mappings().items()}
 
-        short = on_fresh_thread(lambda: kept_after(64000))
-        assert set(short) == {"segment", "frames"}
-        assert on_fresh_thread(lambda: kept_after(64000, 960000)) == short
-
-    def test_scratch_arrays_are_unmapped_when_their_thread_ends(self):
-        # mapped, not malloc'd: an ended thread's scratch arrays would stay
-        # free in its malloc arena, resident, for whichever thread gets it next
-        def run():
-            x = _rand_wave(4096, 5)
-            matrix = stft(x)
-            assert np.array_equal(istft(matrix, length=len(x)).samples,
-                                  istft_brute(matrix, 1024, 256, len(x)))
-            oracle_irm(x, _rand_wave(4096, 6), _rand_wave(4096, 7), StftParams())
-            mappings = _scratch_mappings()
-            assert set(mappings) == {"segment", "frames", "spectrum", "power"}
-            assert all(isinstance(m, mmap.mmap) for m in mappings.values())
-            return [weakref.ref(m) for m in mappings.values()]
-
-        mappings = on_fresh_thread(run)
-        gc.collect()
-        assert [m() for m in mappings] == [None] * 4
+        assert _kept_after(lambda: run(64000)) < 4096
+        assert _kept_after(lambda: run(64000, 960000)) < 4096
 
     def test_oracle_irm_kept_scratch_is_within_1_5_mb_whatever_the_clip_length(self):
-        def kept_after(*lengths):
+        # well within: its block buffers (about 1.7 MB) are freed with the call
+        def run(*lengths):
             for n in lengths:
                 target, interference, mixture = (_rand_wave(n, n + seed) for seed in range(3))
                 estimate = oracle_irm(mixture, target, interference, StftParams())
                 assert np.array_equal(estimate.samples, oracle_irm_reference(
                     mixture.samples, target.samples, interference.samples, 1024, 256))
-            return {name: len(m) for name, m in _scratch_mappings().items()}
 
-        short = on_fresh_thread(lambda: kept_after(64000))
-        assert sum(short.values()) <= 1.5e6
-        assert on_fresh_thread(lambda: kept_after(64000, 960000)) == short
+        assert _kept_after(lambda: run(64000)) < 4096
+        assert _kept_after(lambda: run(64000, 960000)) < 4096
 
     def test_istft_refuses_a_length_it_cannot_honour(self):
         matrix = stft(_rand_wave(4096, 1))  # 21 frames, so 5,120 samples at most

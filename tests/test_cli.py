@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capaug import evaluation
 from capaug.audio import Waveform, read_wav, write_wav
 from capaug.cli import _experiment_config, build_parser, main
 from capaug.harness import make_synthetic_eval_set
@@ -85,6 +86,26 @@ class TestAugment:
         assert (out_dir / "manifest.json").exists()
         assert (out_dir / "augment_stats.json").exists()
         assert "augmented 10 clips" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, field", [(["--seed", 7], "seed"),
+                                              (["--prompt", "simple"], "prompt_kind"),
+                                              (["--count", 2], "requested")])
+    def test_resume_refuses_an_out_dir_from_another_config(self, tmp_path, data_dir, capsys,
+                                                           flags, field):
+        first = ["augment", "--manifest", data_dir / "synthetic_manifest.json", "--mock-llm",
+                 "--seed", 0, "--out-dir", tmp_path / "run"]
+        assert run_cli(*first) == 0
+        kept = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        capsys.readouterr()
+        assert run_cli(*first, *flags) == 2
+        err = capsys.readouterr().err
+        assert f" {field} " in err and "--no-resume" in err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == kept
+        # --no-resume replaces it with the bytes of a fresh run
+        assert run_cli(*first, *flags, "--no-resume") == 0
+        assert run_cli(*first, *flags, "--out-dir", tmp_path / "fresh") == 0
+        assert ((tmp_path / "run" / "manifest.json").read_bytes()
+                == (tmp_path / "fresh" / "manifest.json").read_bytes())
 
     def test_global_flag_position_also_works(self, tmp_path, data_dir):
         out_dir = tmp_path / "run"
@@ -358,20 +379,29 @@ class TestSignalCommands:
         expected = 0.5 * read_wav(t_path).samples + 0.5 * read_wav(i_path).samples
         assert np.allclose(combined.samples, expected, atol=1e-7)
 
-    def test_eval_directories(self, tmp_path):
+    def test_eval_directories(self, tmp_path, monkeypatch):
+        # scored on the evaluation worker threads, the rows in clip order
         est_dir, ref_dir, mix_dir = (tmp_path / "est", tmp_path / "ref", tmp_path / "mix")
         for d in (est_dir, ref_dir, mix_dir):
             d.mkdir()
-        for item in make_synthetic_eval_set(3, seed=0, duration_s=0.5):
+        for item in make_synthetic_eval_set(6, seed=0, duration_s=0.5):
             write_wav(ref_dir / f"{item.clip_id}.wav", item.reference)
             write_wav(mix_dir / f"{item.clip_id}.wav", item.mixture)
             write_wav(est_dir / f"{item.clip_id}.wav", item.mixture)  # identity
         out = tmp_path / "metrics.csv"
+        workers_used, real_map = [], evaluation._map_in_order
+
+        def recording_map(fn, items, workers):
+            workers_used.append(workers)
+            return real_map(fn, items, workers)
+
+        monkeypatch.setattr(evaluation, "_map_in_order", recording_map)
         assert run_cli("eval", "--estimates", est_dir, "--references", ref_dir,
                        "--mixtures", mix_dir, "--out", out) == 0
+        assert workers_used == [evaluation.EXTERNAL_PROCESS_BOUND]
         lines = out.read_text().splitlines()
         assert lines[0] == "clip_id,sdr,sdri,si_sdr"
-        assert len(lines) == 4
+        assert [line.split(",")[0] for line in lines[1:]] == [f"clip_{i:03d}" for i in range(6)]
         for line in lines[1:]:
             clip_id, sdr_v, sdri_v, si_v = line.split(",")
             assert abs(float(sdri_v)) <= 1e-7  # identity estimates

@@ -875,15 +875,21 @@ class TestScoreClips:
         items = make_synthetic_eval_set(3, seed=11, duration_s=0.25)[::-1]
         seen = []
 
+        def read(items):
+            # clips are scored on worker threads, so the order they are read in
+            # is the order that can be checked
+            for item in items:
+                seen.append(item.clip_id)
+                yield item
+
         def later(item, estimates):
             # the earlier estimator's estimate of this same clip, and nothing else
             assert list(estimates) == ["identity"]
             assert estimates["identity"] is item.mixture
-            seen.append(item.clip_id)
             return estimates["identity"]
 
         results = harness.score_clips(
-            iter(items), {"identity": lambda item, _: item.mixture, "later": later}, 1e-8)
+            read(items), {"identity": lambda item, _: item.mixture, "later": later}, 1e-8)
         order = ["clip_002", "clip_001", "clip_000"]
         assert seen == order
         assert list(results) == ["identity", "later"]

@@ -15,7 +15,7 @@ from capaug.evaluation import ExternalSeparatorError, ensemble, separate
 from capaug.harness import load_config
 from capaug.metrics import sdr
 from capaug.separation import SeparatorSpec
-from oracles import irm_mask_reference, on_fresh_thread, oracle_irm_reference
+from oracles import irm_mask_reference, oracle_irm_reference
 
 # first run of the seeded tone+noise fixture below observed 21.3 dB oracle SDR
 # (identity: 0 dB); asserted with headroom so numeric drift cannot flake it
@@ -122,21 +122,16 @@ class TestOracleIrm:
         expected = oracle_irm_reference(mixed.mixture.samples, mixed.target.samples,
                                         mixed.interference.samples, 1024, 256)
 
-        def run():
-            estimate = separate(SeparatorSpec(kind="oracle_irm"), mixed.mixture, "",
-                                (mixed.target, mixed.interference))
-            return estimate, audio._scratch_arrays.frames.shape
-
         # a block of one frame, a block size that leaves a remainder (130
         # frames), and one block for the whole clip
         for block_frames in (1, 3, 1000):
             monkeypatch.setattr(audio, "_BLOCK_FRAMES", block_frames)
-            estimate, frames_shape = on_fresh_thread(run)
-            assert frames_shape == (block_frames, 1024)
+            estimate = separate(SeparatorSpec(kind="oracle_irm"), mixed.mixture, "",
+                                (mixed.target, mixed.interference))
             assert np.array_equal(estimate.samples, expected)
 
     def test_two_threads_give_the_serial_bits(self):
-        # each thread has its own scratch arrays; shared ones would mix clips
+        # each call allocates its own block buffers; shared ones would mix clips
         spec = SeparatorSpec(kind="oracle_irm")
         clips = [_tone_noise_mixture(seed=seed, duration_s=duration)
                  for seed, duration in enumerate([1.0, 0.5, 1.0, 0.75] * 3)]

@@ -1,9 +1,32 @@
+import shlex
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
+from capaug.cli import build_parser
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
+
+
+def readme_usage_commands(text: str) -> list[str]:
+    """The ``capaug`` commands of the README's usage block, continuation lines joined."""
+    block = text.split("## Quick tour (CLI)", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("capaug ")]
+
+
+def test_readme_usage_examples_parse():
+    commands = readme_usage_commands(README.read_text(encoding="utf-8"))
+    assert len(commands) == 13
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
 
 
 def test_failing_property_test_reports_its_example(tmp_path):
