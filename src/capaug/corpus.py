@@ -67,6 +67,23 @@ class ClipEntry:
             raise ValueError(f"clip {self.clip_id!r} has duplicate augmented captions")
 
     @classmethod
+    def _unchecked(cls, clip_id: str, source_dataset: SourceDataset,
+                   original_captions: list[str], augmented_captions: list[str],
+                   audio_path: str | None) -> "ClipEntry":
+        """The entry of fields its caller has already validated, without
+        ``__post_init__``, which normalises every augmented caption again."""
+        entry = object.__new__(cls)
+        # set one by one, in ``__init__``'s order, so the instance shares its
+        # dict's keys with every other entry (``__dict__.update`` builds a
+        # dict of its own, about 120 bytes more per entry)
+        entry.clip_id = clip_id
+        entry.source_dataset = source_dataset
+        entry.original_captions = original_captions
+        entry.augmented_captions = augmented_captions
+        entry.audio_path = audio_path
+        return entry
+
+    @classmethod
     def from_dict(cls, doc: dict) -> "ClipEntry":
         """The entry a manifest document describes.
 
@@ -310,6 +327,8 @@ def merge_augmented_captions(entry: ClipEntry, captions: list[str],
     attached augmentations; the skip count is returned alongside. ``keys``,
     when given, holds ``normalize(c)`` for each of ``captions`` (as
     ``FilterReport.accepted_keys`` does), so they are not normalized again.
+    That check is the one ``ClipEntry`` makes, so the merged entry is built
+    without repeating it: each caption is normalised once.
     """
     existing = {normalize(c) for c in entry.original_captions}
     existing.update(normalize(c) for c in entry.augmented_captions)
@@ -324,12 +343,12 @@ def merge_augmented_captions(entry: ClipEntry, captions: list[str],
             continue
         existing.add(key)
         added.append(caption)
-    merged = ClipEntry(
+    merged = ClipEntry._unchecked(
         clip_id=entry.clip_id,
-        audio_path=entry.audio_path,
         source_dataset=entry.source_dataset,
         original_captions=list(entry.original_captions),
         augmented_captions=added,
+        audio_path=entry.audio_path,
     )
     return merged, skipped
 

@@ -398,12 +398,15 @@ def _augment_one(config: ExperimentConfig, template, complete_fn,
                  clip: corpus.ClipEntry) -> tuple[corpus.ClipEntry, ClipAugmentation]:
     """One clip's new entry and stats.
 
-    A gateway failure or a blank source caption leaves the entry as it was
-    and is recorded in the clip's ``error``; only a gateway failure sets
-    ``gateway_failed``, which a resume retries.
+    The seed caption is ``random.Random(f"{seed}:{clip_id}").randrange(n)`` of
+    the clip's ``n`` originals. With one original that is always 0, so the
+    generator, a SHA-512 hash and an MT19937 seeding, is built only where
+    there is a choice. A gateway failure or a blank source caption leaves the
+    entry as it was and is recorded in the clip's ``error``; only a gateway
+    failure sets ``gateway_failed``, which a resume retries.
     """
-    rng = random.Random(f"{config.seed}:{clip.clip_id}")
-    index = rng.randrange(len(clip.original_captions))
+    n = len(clip.original_captions)
+    index = random.Random(f"{config.seed}:{clip.clip_id}").randrange(n) if n > 1 else 0
     failed = dict(clip_id=clip.clip_id, seed_caption_index=index,
                   requested=config.requested_count, parsed=0, accepted=0)
     try:

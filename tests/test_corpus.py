@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -205,6 +206,26 @@ class TestAttach:
             entry, ["New caption here.", "another caption here"])
         assert skipped == 1
         assert merged.augmented_captions == ["new caption here", "another caption here"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(entry=st.builds(ClipEntry, clip_id=st.text(min_size=1, max_size=8),
+                           source_dataset=st.sampled_from(SourceDataset),
+                           original_captions=st.lists(TEXT, min_size=1, max_size=3),
+                           augmented_captions=st.lists(TEXT, max_size=3, unique_by=normalize),
+                           audio_path=st.none() | TEXT),
+           captions=st.lists(TEXT, max_size=6), with_keys=st.booleans())
+    def test_merged_entry_is_the_one_clip_entry_builds(self, entry, captions, with_keys):
+        # the merge skips ClipEntry's own duplicate check; the checked build of
+        # its fields must accept them and give the same entry
+        keys = [normalize(c) for c in captions] if with_keys else None
+        merged, _ = merge_augmented_captions(entry, captions, keys)
+        checked = ClipEntry(**vars(merged))
+        assert type(merged) is ClipEntry
+        assert vars(checked) == vars(merged)
+        assert checked == merged
+        # and as small: its dict shares its keys with other entries, as one
+        # that __init__ fills does
+        assert sys.getsizeof(vars(merged)) == sys.getsizeof(vars(checked))
 
     def test_attach_unknown_clip(self):
         manifest = new_manifest([_entry("c1")])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import sys
 import threading
@@ -22,6 +23,7 @@ from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig
                             HarnessError, load_config, make_synthetic_eval_set,
                             run_augmentation, run_evaluation)
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
+from capaug.prompts import builtin_template
 from capaug.evaluation import EXTERNAL_PROCESS_BOUND, ensemble
 from capaug.separation import SeparatorSpec
 from oracles import stats_bytes_reference, synthetic_eval_set_reference
@@ -443,10 +445,8 @@ class TestRunAugmentation:
                          resume=False)
         assert len(calls) == 10
 
-    def test_each_caption_is_normalized_once(self, synthetic_manifest, monkeypatch):
-        config = _mock_config()
-        # the filter rules' own keys are made once per rules, on first use
-        run_augmentation(config, manifest=synthetic_manifest)
+    def test_each_caption_is_normalized_once(self, tmp_path, data_dir, monkeypatch):
+        config = _mock_config(tmp_path, manifest_path=str(data_dir / "synthetic_manifest.json"))
         calls = 0
 
         def counting(normalize):
@@ -458,12 +458,30 @@ class TestRunAugmentation:
 
         monkeypatch.setattr(filtering, "normalize", counting(filtering.normalize))
         monkeypatch.setattr(corpus, "normalize", counting(corpus.normalize))
-        manifest, stats = run_augmentation(config, manifest=synthetic_manifest)
-        # each parsed candidate in the filter, then each original caption (to
-        # skip duplicates) and each final caption (the entry's own check) in corpus
-        once_each = sum(stats.per_clip[e.clip_id].parsed + len(e.original_captions)
-                        + len(e.augmented_captions) for e in manifest.entries)
-        assert 0 < calls <= once_each
+        filtering._rule_keys.cache_clear()  # so this run makes the rules' keys
+        manifest, stats = run_augmentation(config)
+        # each parsed candidate in the filter, each original caption in the
+        # merge's duplicate check, and the banned words and failure token once;
+        # the merge reuses the filter's keys, and reading, building the merged
+        # entry and writing normalise nothing more
+        rule_keys = len(config.filter_rules.banned_words) + 1
+        parsed = stats.totals()["parsed"]
+        originals = sum(len(e.original_captions) for e in manifest.entries)
+        assert stats.totals()["accepted"] > 0
+        assert calls == parsed + originals + rule_keys
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(), clip_id=st.text(min_size=1, max_size=12),
+           captions=st.lists(st.text(max_size=12), min_size=1, max_size=5))
+    def test_seed_caption_index_is_drawn_from_the_clip_seed(self, seed, clip_id, captions):
+        clip = corpus.ClipEntry(clip_id=clip_id, source_dataset=corpus.SourceDataset.SYNTHETIC,
+                                original_captions=captions)
+        config = _mock_config(seed=seed)
+        _, clip_stats = harness._augment_one(
+            config, builtin_template(config.prompt_kind),
+            lambda prompt: _stub_response("1. a dog barks twice nearby"), clip)
+        expected = random.Random(f"{seed}:{clip_id}").randrange(len(captions))
+        assert clip_stats.seed_caption_index == expected
 
     def test_manifest_path_loading(self, tmp_path, data_dir):
         config = _mock_config(manifest_path=str(data_dir / "synthetic_manifest.json"))

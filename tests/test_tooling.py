@@ -1,3 +1,5 @@
+import ast
+import re
 import shlex
 import subprocess
 import sys
@@ -45,3 +47,16 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+def test_sources_parse_at_the_minimum_python_version():
+    # the interpreter running the tests may be newer than requires-python, and
+    # would accept syntax (such as ``except*``) that the oldest one refuses
+    spec = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                     PYPROJECT.read_text(encoding="utf-8"), re.MULTILINE)
+    minimum = (int(spec[1]), int(spec[2]))
+    sources = sorted((PYPROJECT.parent / "src" / "capaug").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=minimum)
