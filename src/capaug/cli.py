@@ -139,7 +139,8 @@ def cmd_filter(args) -> int:
             report = filter_captions(parse_numbered(doc["response_text"]), rules)
             out_lines.append(json.dumps(
                 {"clip_id": doc["clip_id"], **report.to_dict()}, ensure_ascii=False))
-    Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    with corpus.open_replacing(args.out) as fh:
+        fh.write("\n".join(out_lines) + "\n")
     print(f"filtered {len(out_lines)} responses into {args.out}")
     return EXIT_OK
 
@@ -232,7 +233,8 @@ def cmd_report(args) -> int:
     rows = load_config(args.rows, lambda doc: [_report_row(r) for r in doc])
     text = render_report(rows, fmt=args.format, config_hash=args.config_hash)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with corpus.open_replacing(args.out) as fh:
+            fh.write(text)
         print(f"wrote report to {args.out}")
     else:
         print(text, end="")
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--llm-endpoint", help="completion endpoint URL")
     p.add_argument("--llm-model", help="model identifier sent to the endpoint")
     p.add_argument("--no-resume", action="store_true",
-                   help="reprocess all clips even if outputs exist")
+                   help="empty the out-dir's journal of LLM replies and request every clip")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("filter", help="filter raw responses from a JSONL file")

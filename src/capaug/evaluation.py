@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, mix, oracle_irm, read_wav, tone_burst, white_noise, write_wav
+from .corpus import open_replacing
 from .harness import (DEFAULT_SNR_RANGE_DB, ConfigError, EnsembleDef, ExperimentConfig,
                       _map_in_order)
 from .metrics import aggregate, scorer
@@ -163,11 +164,11 @@ class EvaluationResult:
 
 
 def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
-    lines = ["clip_id,sdr,sdri,si_sdr"]
-    for score in scores:
-        t = score.metrics
-        lines.append(f"{score.clip_id},{t.sdr_db:.6f},{t.sdri_db:.6f},{t.si_sdr_db:.6f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open_replacing(path) as fh:
+        fh.write("clip_id,sdr,sdri,si_sdr\n")
+        for score in scores:
+            t = score.metrics
+            fh.write(f"{score.clip_id},{t.sdr_db:.6f},{t.sdri_db:.6f},{t.si_sdr_db:.6f}\n")
 
 
 def score_clips(items, estimators, epsilon: float,
@@ -279,10 +280,10 @@ def run_evaluation(config: ExperimentConfig,
             write_per_clip_csv(metrics_dir / f"{name}.csv", result.per_clip)
         rows = evaluation.report_rows()
         if rows:
-            report = render_report(rows, config_hash=evaluation.config_hash)
-            report += (f"eval epsilon: {config.epsilon:g} (library default 0), "
-                       f"clamp: +/-{config.clamp_db:g} dB\n")
-            (out_dir / "report.md").write_text(report, encoding="utf-8")
+            with open_replacing(out_dir / "report.md") as fh:
+                fh.write(render_report(rows, config_hash=evaluation.config_hash))
+                fh.write(f"eval epsilon: {config.epsilon:g} (library default 0), "
+                         f"clamp: +/-{config.clamp_db:g} dB\n")
     return evaluation
 
 

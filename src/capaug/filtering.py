@@ -82,7 +82,8 @@ class FilterReport:
     def reject_histogram(self) -> dict[str, int]:
         hist: dict[str, int] = {}
         for _, reason in self.rejected:
-            hist[reason.value] = hist.get(reason.value, 0) + 1
+            value = reason.value  # an enum property: read once
+            hist[value] = hist.get(value, 0) + 1
         return hist
 
 

@@ -4,8 +4,8 @@ Evaluation lives in :mod:`capaug.evaluation`; its names are still reachable
 here (``harness.run_evaluation``), and load it, and NumPy, on first use.
 Runs are deterministic for a fixed config and seed. Per-clip decisions are
 seeded from ``(global seed, clip_id)``, reductions happen over clip_id-sorted
-results, and every artifact is written in a canonical form, so a rerun (or a
-resumed run) reproduces the previous outputs byte for byte.
+results, and every artifact is written in a canonical form, so a rerun, or a
+resume from the journal of LLM replies, writes a fresh run's bytes.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ import importlib
 import json
 import logging
 import math
+import os
 import random
-from collections import deque
+import threading
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring
+from functools import partial
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus
@@ -35,6 +39,7 @@ logger = logging.getLogger(__name__)
 MANIFEST_FILENAME = "manifest.json"
 STATS_FILENAME = "augment_stats.json"
 FAILURES_FILENAME = "failures.json"
+JOURNAL_FILENAME = "responses.jsonl"
 ABORT_FAILURE_FRACTION = 0.5
 DEFAULT_EVAL_EPSILON = 1e-8
 DEFAULT_SNR_RANGE_DB = (-10.0, 10.0)
@@ -245,11 +250,6 @@ class ClipAugmentation:
     gateway_failed: bool = False
     error: str | None = None
 
-    @classmethod
-    def from_dict(cls, clip_id: str, doc: dict) -> "ClipAugmentation":
-        known = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
-        return cls(**{**known, "clip_id": clip_id})
-
 
 @dataclass
 class AugmentationStats:
@@ -259,10 +259,9 @@ class AugmentationStats:
         return sorted(c for c, s in self.per_clip.items() if s.gateway_failed)
 
     def totals(self) -> dict:
-        rejected: dict[str, int] = {}
+        rejected = Counter()
         for s in self.per_clip.values():
-            for reason, count in s.rejected.items():
-                rejected[reason] = rejected.get(reason, 0) + count
+            rejected.update(s.rejected)
         return {
             "clips": len(self.per_clip),
             "gateway_failures": len(self.gateway_failures()),
@@ -275,8 +274,8 @@ class AugmentationStats:
 
 def _json_value(value, indent: str) -> str:
     """``value`` as ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``
-    writes it ``indent`` deep, without its pure-Python encoder for the types
-    augmentation stats hold: str, int, bool, None and dicts of them."""
+    writes it ``indent`` deep, without its pure-Python encoder, for the types
+    augmentation stats hold: str, int, bool, None and str-keyed dicts of them."""
     kind = type(value)
     if kind is str:
         return encode_basestring(value)
@@ -286,16 +285,14 @@ def _json_value(value, indent: str) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    if kind is dict and all(type(k) is str for k in value):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = ",\n".join([f"{inner}{encode_basestring(k)}: {_json_value(value[k], inner)}"
-                             for k in sorted(value)])
-        return f"{{\n{items}\n{indent}}}"
-    # json escapes every newline inside a string, so each one here is structural
-    return json.dumps(value, indent=2, sort_keys=True,
-                      ensure_ascii=False).replace("\n", "\n" + indent)
+    if kind is not dict:
+        raise TypeError(f"no stats value is a {kind.__name__}")
+    if not value:
+        return "{}"
+    inner = indent + "  "
+    items = ",\n".join([f"{inner}{encode_basestring(k)}: {_json_value(value[k], inner)}"
+                         for k in sorted(value)])
+    return f"{{\n{items}\n{indent}}}"
 
 
 # (name, its line prefix) for each stats field, in sorted order
@@ -320,39 +317,53 @@ def _write_stats(stats: AugmentationStats, path) -> None:
         fh.write(f',\n  "totals": {_json_value(stats.totals(), "  ")}\n}}\n')
 
 
-def _refuse_other_config(out_dir: Path, field: str, previous, current) -> None:
-    if previous != current:
-        raise ConfigError(f"{out_dir} holds a run with {field} {previous!r}, not "
-                          f"{current!r}; rerun with --no-resume to replace it")
+class _ResponseJournal:
+    """A run's backend (``complete_fn``, else ``config``'s client) and, with an
+    ``out_dir``, its journal: a line per reply, holding a BLAKE2b key of the
+    backend fields that shape a reply, the clip id and the prompt, a tab, and
+    the reply as an ASCII JSON string. A journalled prompt is not sent again."""
 
+    def __init__(self, config: ExperimentConfig, complete_fn, out_dir: Path | None,
+                 resume: bool):
+        self._client = build_client(config) if complete_fn is None else None
+        self._complete_fn = complete_fn or self._client.complete
+        llm = config.llm
+        backend = (["mock", config.mock_seed] if config.use_mock_llm
+                   else [llm.endpoint_url, llm.model_id, llm.temperature, llm.max_tokens])
+        self._prefix = json.dumps(backend)  # self-delimiting, as is the quoted clip id
+        self._replies, self._lock, self._fh = {}, threading.Lock(), None
+        if out_dir is None:
+            return
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / JOURNAL_FILENAME
+        if resume and path.exists():
+            data = path.read_bytes()
+            whole = data.rfind(b"\n") + 1
+            os.truncate(path, whole)  # a torn last line: the next append starts a line
+            for line in data[:whole].decode("ascii", "replace").splitlines():
+                key, _, reply = line.partition("\t")
+                with suppress(ValueError):  # a damaged line's prompt is requested again
+                    self._replies[key] = json.loads(reply)
+            logger.info("resume: %d journalled replies in %s", len(self._replies), path)
+        self._fh = open(path, "a" if resume else "w", encoding="ascii", newline="\n")
 
-def _load_previous_run(out_dir: Path, config: ExperimentConfig,
-                       ) -> dict[str, tuple[corpus.ClipEntry, ClipAugmentation]]:
-    """The clips an earlier run in ``out_dir`` completed: entry and stats by clip id.
+    def reply(self, clip_id: str, prompt: str) -> str:
+        if self._fh is None:
+            return self._complete_fn(prompt).text
+        key = hashlib.blake2b(f"{self._prefix}{encode_basestring_ascii(clip_id)}{prompt}"
+                              .encode("utf-8", "surrogatepass"), digest_size=16).hexdigest()
+        text = self._replies.get(key)
+        if text is None:
+            text = self._complete_fn(prompt).text
+            with self._lock:  # HTTP clips finish on worker threads
+                self._fh.write(f"{key}\t{encode_basestring_ascii(text)}\n")
+        return text
 
-    A clip that failed at the gateway, or that the earlier manifest lacks, is
-    left out, so a resume processes it again. A run made with another seed,
-    prompt kind or caption count raises :class:`ConfigError`: its captions are
-    not the ones ``config`` would make.
-    """
-    manifest_path = out_dir / MANIFEST_FILENAME
-    stats_path = out_dir / STATS_FILENAME
-    if not manifest_path.exists() or not stats_path.exists():
-        return {}
-    previous = read_manifest(manifest_path)
-    for field_name in ("seed", "prompt_kind"):
-        _refuse_other_config(out_dir, field_name, previous.metadata.get(field_name),
-                             getattr(config, field_name))
-    entries = {entry.clip_id: entry for entry in previous.entries}
-    doc = json.loads(stats_path.read_text(encoding="utf-8"))
-    carried = {}
-    for cid, clip_doc in doc.get("per_clip", {}).items():
-        clip_stats = ClipAugmentation.from_dict(cid, clip_doc)
-        if cid in entries and not clip_stats.gateway_failed:
-            _refuse_other_config(out_dir, f"clip {cid!r} requested", clip_stats.requested,
-                                 config.requested_count)
-            carried[cid] = (entries[cid], clip_stats)
-    return carried
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+        if self._client is not None:
+            self._client.close()
 
 
 def _map_in_order(fn, items, workers: int) -> list:
@@ -394,16 +405,16 @@ def _map_in_order(fn, items, workers: int) -> list:
     return results
 
 
-def _augment_one(config: ExperimentConfig, template, complete_fn,
+def _augment_one(config: ExperimentConfig, template, journal: _ResponseJournal,
                  clip: corpus.ClipEntry) -> tuple[corpus.ClipEntry, ClipAugmentation]:
     """One clip's new entry and stats.
 
     The seed caption is ``random.Random(f"{seed}:{clip_id}").randrange(n)`` of
     the clip's ``n`` originals. With one original that is always 0, so the
     generator, a SHA-512 hash and an MT19937 seeding, is built only where
-    there is a choice. A gateway failure or a blank source caption leaves the
-    entry as it was and is recorded in the clip's ``error``; only a gateway
-    failure sets ``gateway_failed``, which a resume retries.
+    there is a choice. A journalled reply counts as a fresh one. A gateway
+    failure or a blank source caption leaves the entry as it was and sets the
+    clip's ``error``; only the former, never journalled, sets ``gateway_failed``.
     """
     n = len(clip.original_captions)
     index = random.Random(f"{config.seed}:{clip.clip_id}").randrange(n) if n > 1 else 0
@@ -415,11 +426,11 @@ def _augment_one(config: ExperimentConfig, template, complete_fn,
         logger.warning("clip %s: %s", clip.clip_id, exc)
         return clip, ClipAugmentation(**failed, error=str(exc))
     try:
-        response = complete_fn(prompt)
+        text = journal.reply(clip.clip_id, prompt)
     except LlmError as exc:
         logger.warning("clip %s: gateway failure: %s", clip.clip_id, exc)
         return clip, ClipAugmentation(**failed, gateway_failed=True, error=str(exc))
-    candidates = parse_numbered(response.text)
+    candidates = parse_numbered(text)
     report = filter_captions(candidates, config.filter_rules)
     entry, skipped = merge_augmented_captions(clip, report.accepted, report.accepted_keys)
     return entry, ClipAugmentation(
@@ -435,39 +446,24 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
     """Augment every clip in the manifest: render, complete, parse, filter, attach.
 
     Gateway failures skip the clip and the run continues; the run aborts if
-    more than half of the clips fail. With ``resume`` enabled and an existing
-    output directory, previously completed clips are carried over unchanged
-    and only missing or failed clips are processed; a directory that another
-    seed, prompt kind or caption count made raises :class:`ConfigError`.
+    more than half of the clips fail. With an ``out_dir``, each reply is
+    journalled as it arrives, and with ``resume`` a journalled reply stands in
+    for the request, so a resume with any config writes a fresh run's bytes.
+    ``resume=False`` empties the journal first.
     """
     if manifest is None:
         if not config.manifest_path:
             raise ConfigError("no manifest given and no manifest path configured")
         manifest = read_manifest(config.manifest_path)
-    client = None
-    if complete_fn is None:
-        client = build_client(config)
-        complete_fn = client.complete
     template = builtin_template(config.prompt_kind)
-
     out_dir = Path(config.out_dir) if config.out_dir else None
-    carried = _load_previous_run(out_dir, config) if resume and out_dir is not None else {}
-    if carried:
-        logger.info("resume: %d completed clips found in %s", len(carried), out_dir)
-
-    def augment(clip: corpus.ClipEntry) -> tuple[corpus.ClipEntry, ClipAugmentation]:
-        if clip.clip_id not in carried:
-            return _augment_one(config, template, complete_fn, clip)
-        previous, clip_stats = carried[clip.clip_id]
-        return merge_augmented_captions(clip, previous.augmented_captions)[0], clip_stats
-
     clips = sorted(manifest.entries, key=lambda e: e.clip_id)
     workers = 0 if config.use_mock_llm else config.llm.max_concurrent_requests
+    journal = _ResponseJournal(config, complete_fn, out_dir, resume)
     try:
-        outcomes = _map_in_order(augment, clips, workers)
+        outcomes = _map_in_order(partial(_augment_one, config, template, journal), clips, workers)
     finally:
-        if client is not None:
-            client.close()
+        journal.close()
     stats = AugmentationStats(per_clip={s.clip_id: s for _, s in outcomes})
 
     failures = stats.gateway_failures()
@@ -485,7 +481,6 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
                       metadata=metadata)
 
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_manifest(result, out_dir / MANIFEST_FILENAME)
         _write_stats(stats, out_dir / STATS_FILENAME)
         failures_path = out_dir / FAILURES_FILENAME

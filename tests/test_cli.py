@@ -1,4 +1,5 @@
 import json
+import os
 from operator import attrgetter
 from pathlib import Path
 
@@ -87,25 +88,21 @@ class TestAugment:
         assert (out_dir / "augment_stats.json").exists()
         assert "augmented 10 clips" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flags, field", [(["--seed", 7], "seed"),
-                                              (["--prompt", "simple"], "prompt_kind"),
-                                              (["--count", 2], "requested")])
-    def test_resume_refuses_an_out_dir_from_another_config(self, tmp_path, data_dir, capsys,
-                                                           flags, field):
+    @pytest.mark.parametrize("flags", [["--seed", 7], ["--prompt", "simple"], ["--count", 2]],
+                             ids=["seed", "prompt", "count"])
+    def test_resume_from_another_config_gives_fresh_bytes(
+            self, tmp_path, data_dir, flags):
         first = ["augment", "--manifest", data_dir / "synthetic_manifest.json", "--mock-llm",
                  "--seed", 0, "--out-dir", tmp_path / "run"]
         assert run_cli(*first) == 0
-        kept = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
-        capsys.readouterr()
-        assert run_cli(*first, *flags) == 2
-        err = capsys.readouterr().err
-        assert f" {field} " in err and "--no-resume" in err
-        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == kept
-        # --no-resume replaces it with the bytes of a fresh run
-        assert run_cli(*first, *flags, "--no-resume") == 0
+        assert run_cli(*first, *flags) == 0
         assert run_cli(*first, *flags, "--out-dir", tmp_path / "fresh") == 0
-        assert ((tmp_path / "run" / "manifest.json").read_bytes()
-                == (tmp_path / "fresh" / "manifest.json").read_bytes())
+        resumed, fresh = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+                          for name in ("run", "fresh"))
+        # the resumed journal also keeps the first run's replies
+        journal = "responses.jsonl"
+        assert set(resumed.pop(journal).splitlines()) > set(fresh.pop(journal).splitlines())
+        assert resumed == fresh
 
     def test_global_flag_position_also_works(self, tmp_path, data_dir):
         out_dir = tmp_path / "run"
@@ -473,6 +470,27 @@ class TestReport:
              "sdr": 3.320, "sdri": 3.285, "si_sdr": 1.505}]))
         assert run_cli("report", "--rows", rows) == 0
         assert "3.320 3.285 1.505" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["filter", "report"])
+    def test_failed_rewrite_of_out_keeps_the_old_file(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        rows = tmp_path / "rows.json"
+        rows.write_text(json.dumps([{"model": "m", "sdr": 0.0, "sdri": 0.0, "si_sdr": 0.0}]))
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(json.dumps({"clip_id": "a", "response_text": "① A dog barks."}))
+        argv = {"filter": ["filter", "--responses", responses],
+                "report": ["report", "--rows", rows]}[command]
+        out = tmp_path / "out.txt"
+        out.write_text("old bytes\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert run_cli(*argv, "--out", out) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_text() == "old bytes\n"
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
     def test_csv_report_to_file(self, tmp_path):
         rows = tmp_path / "rows.json"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -87,6 +88,23 @@ def _mock_config(tmp_path=None, **kwargs):
 
 def _stub_response(text):
     return RawResponse(text=text, model_id="stub", latency_s=0.0, attempt=1)
+
+
+def _counting(calls, complete_fn=lambda prompt: mock_complete(prompt, 0)):
+    """``complete_fn``, appending each prompt it is sent to ``calls``."""
+    def counted(prompt):
+        calls.append(prompt)
+        return complete_fn(prompt)
+    return counted
+
+
+def _outputs(out_dir):
+    """Each file of an augmentation out-dir by name, the journal's lines as a set:
+    its order is the order in which requests finished."""
+    files = {p.name: p.read_bytes() for p in Path(out_dir).iterdir()}
+    if harness.JOURNAL_FILENAME in files:
+        files[harness.JOURNAL_FILENAME] = set(files[harness.JOURNAL_FILENAME].splitlines())
+    return files
 
 
 class TestConfig:
@@ -409,6 +427,26 @@ class TestRunAugmentation:
         run_augmentation(config, manifest=synthetic_manifest, complete_fn=slow)
         assert peak == 2
 
+    def test_journal_keeps_every_reply_of_concurrent_workers(self, tmp_path):
+        entries = [corpus.ClipEntry(f"clip_{i:04d}", corpus.SourceDataset.SYNTHETIC,
+                                    [f"a dog barks {i} times"]) for i in range(400)]
+        manifest = new_manifest(entries, created_at="2024-01-01T00:00:00Z")
+        config = ExperimentConfig(
+            use_mock_llm=False, out_dir=str(tmp_path / "run"),
+            llm=LlmConfig(endpoint_url="http://127.0.0.1:9/complete",
+                          max_concurrent_requests=8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_augmentation(config, manifest, lambda prompt: mock_complete(prompt, 0))
+        finally:
+            sys.setswitchinterval(interval)
+        lines = (tmp_path / "run" / harness.JOURNAL_FILENAME).read_text().splitlines()
+        assert len({line.split("\t")[0] for line in lines}) == len(lines) == 400
+        calls = []
+        run_augmentation(config, manifest, _counting(calls))
+        assert calls == []
+
     @settings(max_examples=40, deadline=None)
     @given(failing=st.sets(st.integers(0, 9), max_size=5))
     def test_resume_after_any_minority_of_gateway_failures_matches_uninterrupted_run(
@@ -429,7 +467,7 @@ class TestRunAugmentation:
             config = _mock_config(out_dir=str(tmp_path_factory.mktemp("run")))
             for complete_fn in backends:
                 run_augmentation(config, manifest=manifest, complete_fn=complete_fn)
-            outputs.append({p.name: p.read_bytes() for p in Path(config.out_dir).iterdir()})
+            outputs.append(_outputs(config.out_dir))
         assert outputs[0] == outputs[1]
 
     def test_no_resume_reprocesses_everything(self, tmp_path, synthetic_manifest):
@@ -444,6 +482,85 @@ class TestRunAugmentation:
         run_augmentation(config, manifest=synthetic_manifest, complete_fn=counting,
                          resume=False)
         assert len(calls) == 10
+
+    def test_no_resume_empties_the_journal(self, tmp_path, synthetic_manifest):
+        config = _mock_config(tmp_path)
+        journal = Path(config.out_dir) / harness.JOURNAL_FILENAME
+        run_augmentation(config, manifest=synthetic_manifest)
+        fresh = journal.read_bytes()
+        run_augmentation(replace(config, mock_seed=1), manifest=synthetic_manifest)
+        assert len(journal.read_bytes().splitlines()) == 20
+        run_augmentation(config, manifest=synthetic_manifest, resume=False)
+        assert journal.read_bytes() == fresh
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(0, 9))
+    def test_resume_after_a_crash_requests_only_the_unanswered_clips(
+            self, tmp_path_factory, k):
+        manifest = read_manifest(Path(__file__).parent / "data" / "synthetic_manifest.json")
+        fresh = _mock_config(out_dir=str(tmp_path_factory.mktemp("fresh")))
+        run_augmentation(fresh, manifest=manifest)
+        answered = []
+
+        def crashing(prompt):
+            if len(answered) == k:
+                raise RuntimeError("killed")
+            answered.append(prompt)
+            return mock_complete(prompt, 0)
+
+        config = _mock_config(out_dir=str(tmp_path_factory.mktemp("run")))
+        with pytest.raises(RuntimeError, match="killed"):
+            run_augmentation(config, manifest=manifest, complete_fn=crashing)
+        calls = []
+        run_augmentation(config, manifest=manifest, complete_fn=_counting(calls))
+        assert len(calls) == 10 - k
+        assert not set(calls) & set(answered)
+        assert _outputs(config.out_dir) == _outputs(fresh.out_dir)
+
+    def test_resume_with_other_filter_rules_requests_nothing(self, tmp_path,
+                                                              synthetic_manifest):
+        run_augmentation(_mock_config(tmp_path), manifest=synthetic_manifest)
+        strict = _mock_config(tmp_path, filter_rules=filtering.FilterRules(max_accepted=1))
+        calls = []
+        run_augmentation(strict, manifest=synthetic_manifest, complete_fn=_counting(calls))
+        fresh = replace(strict, out_dir=str(tmp_path / "fresh"))
+        run_augmentation(fresh, manifest=synthetic_manifest)
+        assert calls == []
+        assert _outputs(strict.out_dir) == _outputs(fresh.out_dir)
+
+    def test_resume_after_the_abort_requests_only_the_failed_clips(
+            self, tmp_path, synthetic_manifest):
+        # every caption is unique to its clip, so a prompt names its clip
+        doomed = [caption for entry in synthetic_manifest.entries[:6]
+                  for caption in entry.original_captions]
+
+        def flaky(prompt):
+            if any(caption in prompt for caption in doomed):
+                raise LlmError("down")
+            return mock_complete(prompt, 0)
+
+        config = _mock_config(tmp_path)
+        with pytest.raises(HarnessError, match="aborting: 6 of 10"):
+            run_augmentation(config, manifest=synthetic_manifest, complete_fn=flaky)
+        calls = []
+        run_augmentation(config, manifest=synthetic_manifest, complete_fn=_counting(calls))
+        assert len(calls) == 6
+        assert all(any(caption in prompt for caption in doomed) for prompt in calls)
+        fresh = replace(config, out_dir=str(tmp_path / "fresh"))
+        run_augmentation(fresh, manifest=synthetic_manifest)
+        assert _outputs(config.out_dir) == _outputs(fresh.out_dir)
+
+    def test_torn_last_journal_line_is_requested_again(self, tmp_path, synthetic_manifest):
+        config = _mock_config(tmp_path)
+        run_augmentation(config, manifest=synthetic_manifest)
+        journal = Path(config.out_dir) / harness.JOURNAL_FILENAME
+        whole = journal.read_bytes()
+        last_line = whole.splitlines(keepends=True)[-1]
+        journal.write_bytes(whole[:-len(last_line) // 2])
+        calls = []
+        run_augmentation(config, manifest=synthetic_manifest, complete_fn=_counting(calls))
+        assert len(calls) == 1
+        assert journal.read_bytes() == whole  # the torn half is cut, not glued to
 
     def test_each_caption_is_normalized_once(self, tmp_path, data_dir, monkeypatch):
         config = _mock_config(tmp_path, manifest_path=str(data_dir / "synthetic_manifest.json"))
@@ -479,7 +596,9 @@ class TestRunAugmentation:
         config = _mock_config(seed=seed)
         _, clip_stats = harness._augment_one(
             config, builtin_template(config.prompt_kind),
-            lambda prompt: _stub_response("1. a dog barks twice nearby"), clip)
+            harness._ResponseJournal(
+                config, lambda prompt: _stub_response("1. a dog barks twice nearby"), None,
+                resume=False), clip)
         expected = random.Random(f"{seed}:{clip_id}").randrange(len(captions))
         assert clip_stats.seed_caption_index == expected
 
@@ -493,7 +612,8 @@ class TestRunAugmentation:
             run_augmentation(_mock_config(manifest_path=None))
 
 
-NUMBERS = st.integers() | st.booleans() | st.floats()
+# a stats count is an int: _augment_one makes each one
+COUNTS = st.integers()
 # as in test_corpus: text UTF-8 can encode, often with characters JSON escapes
 TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028 é'),
                          st.characters(exclude_categories=["Cs"])),
@@ -505,10 +625,10 @@ def augmentation_stats(draw):
     per_clip = {}
     for clip_id in draw(st.lists(TEXT, unique=True, max_size=4)):
         per_clip[clip_id] = harness.ClipAugmentation(
-            clip_id=clip_id, requested=draw(NUMBERS), parsed=draw(NUMBERS),
-            accepted=draw(NUMBERS), seed_caption_index=draw(st.none() | NUMBERS),
-            attach_skipped=draw(NUMBERS),
-            rejected=draw(st.dictionaries(TEXT, NUMBERS, max_size=3)),
+            clip_id=clip_id, requested=draw(COUNTS), parsed=draw(COUNTS),
+            accepted=draw(COUNTS), seed_caption_index=draw(st.none() | COUNTS),
+            attach_skipped=draw(COUNTS),
+            rejected=draw(st.dictionaries(TEXT, COUNTS, max_size=3)),
             gateway_failed=draw(st.booleans()), error=draw(st.none() | TEXT))
     return harness.AugmentationStats(per_clip=per_clip)
 
@@ -886,6 +1006,25 @@ class TestRunEvaluation:
         result = run_evaluation(_eval_config(), items)
         rows = result.report_rows()
         assert [r.model for r in rows] == ["identity", "oracle"]
+
+    @pytest.mark.parametrize("target", ["metrics/oracle.csv", "report.md"])
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch, target):
+        config = _eval_config(tmp_path)
+        run_evaluation(config, make_synthetic_eval_set(3, seed=7, duration_s=0.25))
+        path = tmp_path / "eval" / target
+        before = path.read_bytes()
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) == path:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            run_evaluation(config, make_synthetic_eval_set(2, seed=8, duration_s=0.25))
+        assert path.read_bytes() == before
+        assert not list((tmp_path / "eval").rglob("*.tmp"))
 
 
 class TestScoreClips:

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from capaug.cli import build_parser
+from capaug.corpus import read_manifest
+from capaug.harness import ExperimentConfig, run_augmentation
+from capaug.llm import LlmError, mock_complete
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -60,3 +63,22 @@ def test_sources_parse_at_the_minimum_python_version():
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=minimum)
+
+
+def test_readme_lists_the_files_of_an_augmentation_out_dir(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    listing = text.split("An augmentation out-dir holds these files:\n\n", 1)[1]
+    listing = listing.split("\n\n", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`", listing, re.MULTILINE)
+    manifest = read_manifest(PYPROJECT.parent / "tests" / "data" / "synthetic_manifest.json")
+    doomed = manifest.entries[0].original_captions
+
+    def one_failure(prompt):
+        if any(caption in prompt for caption in doomed):
+            raise LlmError("down")
+        return mock_complete(prompt, 0)
+
+    out_dir = tmp_path / "run"
+    _, stats = run_augmentation(ExperimentConfig(out_dir=str(out_dir)), manifest, one_failure)
+    assert len(stats.gateway_failures()) == 1
+    assert sorted(listed) == sorted(p.name for p in out_dir.iterdir())
