@@ -30,6 +30,7 @@ _LAZY_HOMES = {
     "mix": "audio", "stft": "audio", "istft": "audio",
     "EvalItem": "evaluation", "run_evaluation": "evaluation", "separate": "evaluation",
     "make_synthetic_eval_set": "evaluation", "ensemble": "evaluation",
+    "score_clips": "evaluation", "write_per_clip_csv": "evaluation",
     "sdr": "metrics", "sdri": "metrics", "si_sdr": "metrics", "aggregate": "metrics",
 }
 
@@ -49,7 +50,7 @@ __all__ = [
     "FilterRules", "FilterReport", "RejectReason", "parse_numbered", "normalize",
     "filter_captions",
     "ExperimentConfig", "EvalItem", "run_augmentation", "run_evaluation",
-    "make_synthetic_eval_set",
+    "make_synthetic_eval_set", "score_clips", "write_per_clip_csv",
     "LlmConfig", "LlmClient", "MockLlmClient", "RawResponse", "mock_complete",
     "MetricsTriple", "sdr", "sdri", "si_sdr", "aggregate",
     "PromptKind", "PromptTemplate", "builtin_template", "render",

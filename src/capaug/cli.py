@@ -17,7 +17,7 @@ from pathlib import Path
 
 import capaug  # its audio names load NumPy on first use, so only audio commands pay it
 
-from . import corpus, harness
+from . import corpus
 from .filtering import FilterRules, filter_captions, parse_numbered
 from .harness import (DEFAULT_EVAL_EPSILON, ConfigError, ExperimentConfig, HarnessError,
                       load_config, run_augmentation)
@@ -192,17 +192,17 @@ def cmd_eval(args) -> int:
 
     # read one clip at a time, as it is scored; per-clip paths through os.path,
     # as in evaluation.score_clips
-    def load(name: str) -> harness.EvalItem:
+    def load(name: str) -> capaug.EvalItem:
         ref_path, mix_path = os.path.join(ref_dir, name), os.path.join(mix_dir, name)
         if not os.path.exists(ref_path) or not os.path.exists(mix_path):
             raise ConfigError(f"missing reference or mixture for {name}")
-        return harness.EvalItem(os.path.splitext(name)[0], capaug.read_wav(mix_path),
-                                capaug.read_wav(ref_path), caption="")
+        return capaug.EvalItem(os.path.splitext(name)[0], capaug.read_wav(mix_path),
+                               capaug.read_wav(ref_path), caption="")
 
     estimators = {str(est_dir): lambda item, _: capaug.read_wav(
         os.path.join(est_dir, item.clip_id + ".wav"))}
-    [result] = harness.score_clips(map(load, names), estimators, epsilon).values()
-    harness.write_per_clip_csv(Path(args.out), result.per_clip)
+    [result] = capaug.score_clips(map(load, names), estimators, epsilon, kept=()).values()
+    capaug.write_per_clip_csv(Path(args.out), result.per_clip)
     if result.failed:
         print(f"failed clips: {' '.join(result.failed)}", file=sys.stderr)
     print(f"evaluated {len(result.per_clip)} of {len(names)} clips -> {args.out}")

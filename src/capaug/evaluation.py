@@ -18,14 +18,14 @@ import shlex
 import subprocess
 import tempfile
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, mix, oracle_irm, read_wav, tone_burst, white_noise, write_wav
+from .audio import Waveform, _mix, oracle_irm, read_wav, tone_burst, white_noise, write_wav
 from .corpus import open_replacing
 from .harness import (DEFAULT_SNR_RANGE_DB, ConfigError, EnsembleDef, ExperimentConfig,
                       _map_in_order)
@@ -171,21 +171,25 @@ def write_per_clip_csv(path: Path, scores: list[ClipScore]) -> None:
             fh.write(f"{score.clip_id},{t.sdr_db:.6f},{t.sdri_db:.6f},{t.si_sdr_db:.6f}\n")
 
 
-def score_clips(items, estimators, epsilon: float,
-                est_dir: Path | None = None) -> dict[str, SeparatorResult]:
+def score_clips(items, estimators, epsilon: float, est_dir: Path | None = None, *,
+                kept: Container[str]) -> dict[str, SeparatorResult]:
     """Score every estimator on each item, clip by clip, in the order given.
 
     ``estimators`` maps a name to ``estimate_of(item, estimates)``, where
-    ``estimates`` holds the estimates earlier names made of the same clip.
+    ``estimates`` holds the estimates that earlier names in ``kept`` made of
+    the same clip. ``kept`` has no default: a caller names every estimate
+    that a later name reads, or none.
     ``items`` is any iterable of :class:`EvalItem`, read once. A clip whose
     estimate or score raises ``ExternalSeparatorError`` or ``ValueError`` is
     listed in that name's ``failed``; a clip whose mixture cannot be scored
     (for example a silent reference with ``epsilon=0``) is listed in every
     name's, and no estimate of it is made. With ``est_dir``, estimates are
-    written to ``est_dir/<name>/`` as soon as they are scored. A clip's
-    estimates are freed once it is done. Clips run on ``EXTERNAL_PROCESS_BOUND``
-    worker threads. No aggregate is set: :func:`run_evaluation` forms it in
-    clip_id order.
+    written to ``est_dir/<name>/`` as soon as they are scored. An estimate
+    not in ``kept`` is dropped once it is scored and written, and the rest
+    once the clip is done. Clips run on ``EXTERNAL_PROCESS_BOUND`` worker
+    threads, and one more clip is queued, so at most
+    ``EXTERNAL_PROCESS_BOUND + 1`` clips are in memory at a time. No
+    aggregate is set: :func:`run_evaluation` forms it in clip_id order.
     """
     results = {name: SeparatorResult(name=name) for name in estimators}
     # per-clip paths through os.path: pathlib interns each component, and a
@@ -214,9 +218,11 @@ def score_clips(items, estimators, epsilon: float,
             except (ExternalSeparatorError, ValueError) as exc:
                 logger.warning("%s failed on clip %s: %s", name, item.clip_id, exc)
                 continue
-            estimates[name] = estimate
             if est_dir is not None:
                 write_wav(os.path.join(est_dirs[name], item.clip_id + ".wav"), estimate)
+            if name in kept:
+                estimates[name] = estimate
+            del estimate  # not held through the next name's work
         return item.clip_id, triples
 
     for clip_id, triples in _map_in_order(step, items, EXTERNAL_PROCESS_BOUND):
@@ -262,8 +268,10 @@ def run_evaluation(config: ExperimentConfig,
     estimators = {name: partial(run_separator, spec) for name, spec in config.separators}
     estimators.update((name, partial(combine, definition))
                       for name, definition in config.ensembles.items())
+    # only the ensembles read other estimates, and only their members'
+    members = {m for definition in config.ensembles.values() for m in definition.members}
     results = score_clips(eval_set, estimators, config.epsilon,
-                          None if out_dir is None else out_dir / "estimates")
+                          None if out_dir is None else out_dir / "estimates", kept=members)
     # sorted outputs, not inputs, so that the eval set is never held whole;
     # the aggregate then sums in clip_id order, whatever order the clips came in
     for result in results.values():
@@ -328,7 +336,8 @@ class _SyntheticEvalSet(Sequence):
         snr_db = self.snr_db
         if snr_db is None:
             snr_db = float(rng.uniform(*self.snr_range))
-        mixed = mix(target, interference, snr_db)
+        # the stems are this clip's own, so they are mixed in place
+        mixed = _mix(target, interference, snr_db, in_place=True)
         return EvalItem(
             clip_id=f"clip_{i:03d}",
             mixture=mixed.mixture,

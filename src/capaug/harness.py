@@ -45,10 +45,9 @@ DEFAULT_EVAL_EPSILON = 1e-8
 DEFAULT_SNR_RANGE_DB = (-10.0, 10.0)
 DEFAULT_CLAMP_DB = 60.0
 
-# evaluation's names that the CLI and the benchmark read here; they load NumPy,
-# so they resolve on first use and a config or an augmentation run never loads it
-_EVALUATION_NAMES = frozenset({"EvalItem", "write_per_clip_csv", "score_clips",
-                               "run_evaluation", "make_synthetic_eval_set"})
+# evaluation's names that the benchmark reads here; they load NumPy, so they
+# resolve on first use and a config or an augmentation run never loads it
+_EVALUATION_NAMES = frozenset({"run_evaluation", "make_synthetic_eval_set"})
 
 
 def __getattr__(name):
@@ -377,15 +376,17 @@ def _map_in_order(fn, items, workers: int) -> list:
     external separator's clips wait on its processes. On a 2-core machine,
     evaluating 100 4 s clips with identity, ``oracle_irm`` and an ensemble
     took 1.12-1.66 s on the calling thread and 0.75-0.81 s on 2 threads; an
-    ``audio`` STFT call holds about 1.7 MB of block buffers while it runs.
-    The first exception, in item order, propagates, and the items not yet
-    started are dropped.
+    ``oracle_irm`` call holds about 1.2 MB of block buffers while it runs.
+    At most ``workers + 1`` items are drawn and unfinished: one per worker and
+    one queued, so a worker that finishes has its next item at once, and a
+    lazy ``items`` is read as fast as it is processed (``Executor.map`` draws
+    it all). An evaluation item is a clip, so three are in flight on two
+    workers. An item that is slow to finish holds back no other. The first
+    exception, in item order, propagates once the items running have
+    finished, and the items not yet started are dropped.
     """
     if not workers:
         return list(map(fn, items))
-    # at most 2 * workers items are drawn and unfinished, so a lazy ``items``
-    # is read as fast as it is processed (Executor.map draws it all), and an
-    # item that is slow to finish holds back no other
     results, pending, unfinished = [], deque(), set()
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -393,7 +394,7 @@ def _map_in_order(fn, items, workers: int) -> list:
             future = pool.submit(fn, item)
             pending.append(future)
             unfinished.add(future)
-            if len(unfinished) == 2 * workers:
+            if len(unfinished) > workers:
                 done, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
                 if any(f.exception() is not None for f in done):
                     break  # the loop below raises the first exception in item order
@@ -473,7 +474,9 @@ def run_augmentation(config: ExperimentConfig, manifest: Manifest | None = None,
 
     merged = {entry.clip_id: entry for entry, _ in outcomes}
     metadata = dict(manifest.metadata)
-    metadata["created_at"] = manifest.metadata.get("created_at") or corpus.utc_now_iso()
+    # the input's own value, or null: a stamp of the current time would make
+    # every rerun of the same input write different bytes
+    metadata["created_at"] = manifest.metadata.get("created_at")
     metadata["tool_version"] = corpus.TOOL_VERSION
     metadata["prompt_kind"] = config.prompt_kind
     metadata["seed"] = config.seed

@@ -44,10 +44,13 @@ def _energy(signal: np.ndarray) -> float:
     return float(np.sum(signal ** 2))
 
 
-def _sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float) -> float:
+# ``buf``, where given, is a clip-length array that _sdr and _si_sdr work in
+# instead of allocating their own; its contents are overwritten
+def _sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float,
+         buf: np.ndarray | None = None) -> float:
     # squared in place: np.square is the operation ``** 2`` runs, without a
     # second clip-length temporary
-    err = np.subtract(ref, est)
+    err = np.subtract(ref, est, out=buf)
     err_energy = float(np.sum(np.square(err, out=err)))
     if epsilon == 0.0:
         if ref_energy == 0.0:
@@ -57,17 +60,21 @@ def _sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float) ->
     return 10.0 * math.log10((ref_energy + epsilon) / (err_energy + epsilon))
 
 
-def _si_sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float) -> float:
+def _si_sdr(est: np.ndarray, ref: np.ndarray, ref_energy: float, epsilon: float,
+            buf: np.ndarray | None = None) -> float:
     if ref_energy == 0.0:
         if epsilon == 0.0:
             raise ValueError("zero-energy reference with epsilon=0")
-        return 10.0 * math.log10(epsilon / (_energy(est) + epsilon))
+        est_energy = float(np.sum(np.square(est, out=buf)))
+        return 10.0 * math.log10(epsilon / (est_energy + epsilon))
     # einsum, not np.dot: np.dot goes to BLAS, whose worker thread keeps
     # spinning on a second core after each call returns
     alpha = float(np.einsum("i,i->", est, ref)) / ref_energy
-    projection = alpha * ref
-    err = np.subtract(est, projection)
-    target_energy = float(np.sum(np.square(projection, out=projection)))
+    # the projection alpha * ref is made twice, once squared for its energy and
+    # once subtracted for the error's, so that one array holds each in turn
+    work = np.multiply(alpha, ref, out=buf)
+    target_energy = float(np.sum(np.square(work, out=work)))
+    err = np.subtract(est, np.multiply(alpha, ref, out=work), out=work)
     err_energy = float(np.sum(np.square(err, out=err)))
     if epsilon == 0.0:
         if target_energy == 0.0:
@@ -111,8 +118,9 @@ def scorer(mixture: Signal, reference: Signal,
 
     The reference energy and the unprocessed mixture's SDR depend only on the
     clip, so they are computed here, once; each ``score`` call adds the
-    estimate's SDR and SI-SDR. Raises ``ValueError`` here when the mixture
-    cannot be scored (misaligned, or a silent reference with ``epsilon=0``).
+    estimate's SDR and SI-SDR, working in one clip-length array of its own.
+    Raises ``ValueError`` here when the mixture cannot be scored (misaligned,
+    or a silent reference with ``epsilon=0``).
     """
     mix, ref = _check_aligned(mixture, reference)
     ref_energy = _energy(ref)
@@ -120,9 +128,10 @@ def scorer(mixture: Signal, reference: Signal,
 
     def score(estimate: Signal) -> MetricsTriple:
         est = _check_aligned(estimate, mixture, reference)[0]
-        sdr_db = _sdr(est, ref, ref_energy, epsilon)
+        buf = np.empty_like(ref)
+        sdr_db = _sdr(est, ref, ref_energy, epsilon, buf)
         return MetricsTriple(sdr_db=sdr_db, sdri_db=sdr_db - mixture_sdr,
-                             si_sdr_db=_si_sdr(est, ref, ref_energy, epsilon))
+                             si_sdr_db=_si_sdr(est, ref, ref_energy, epsilon, buf))
     return score
 
 

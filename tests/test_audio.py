@@ -175,6 +175,22 @@ class TestWavIO:
         expected = data / 32768.0 if encoding == "pcm16" else data.astype(np.float64)
         assert back == Waveform(expected, rate)
 
+    @pytest.mark.parametrize("n", [1, audio._WRITE_CHUNK - 1, audio._WRITE_CHUNK,
+                                   audio._WRITE_CHUNK + 1, 70001])
+    def test_chunked_write_matches_scipy_bytes(self, tmp_path, n):
+        # converted to float32 a chunk at a time: scipy's bytes either side of
+        # a chunk's edge, and no clip-length copy
+        wave = Waveform(np.random.default_rng(n).uniform(-1.5, 1.5, n), 16000)
+        wavfile.write(tmp_path / "scipy.wav", 16000, wave.samples.astype(np.float32))
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "ours.wav", wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+        assert peak < 4 * min(n, audio._WRITE_CHUNK) + 32768
+
     @pytest.mark.parametrize("chunks, expected", [
         ([_fmt_extensible(_PCM, 16), _data(_PCM16)], _PCM16 / 32768.0),
         ([_fmt_extensible(_FLOAT, 32), _data(_FLOAT32)], _FLOAT32),
@@ -235,6 +251,15 @@ class TestMix:
             mix(t, Waveform(np.ones(4), 16000), 0.0)
         with pytest.raises(ValueError):
             mix(t, Waveform(np.ones(8), 8000), 0.0)
+
+    def test_inputs_are_left_as_they_are(self):
+        for snr_db, rescaled in ((20.0, False), (-20.0, True)):
+            target, interference = _rand_wave(256, 3), _rand_wave(256, 4)
+            before = (target.samples.copy(), interference.samples.copy())
+            result = mix(target, interference, snr_db)
+            assert (result.rescale < 1.0) == rescaled
+            assert target.samples.tobytes() == before[0].tobytes()
+            assert interference.samples.tobytes() == before[1].tobytes()
 
     def test_snr_is_exact_across_grid(self):
         target = _rand_wave(2048, 1)

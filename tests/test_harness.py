@@ -20,9 +20,9 @@ import capaug.harness as harness
 from capaug import corpus, evaluation, filtering
 from capaug.audio import Waveform, read_wav
 from capaug.corpus import Manifest, new_manifest, read_manifest
-from capaug.harness import (ConfigError, EnsembleDef, EvalItem, ExperimentConfig,
-                            HarnessError, load_config, make_synthetic_eval_set,
-                            run_augmentation, run_evaluation)
+from capaug.harness import (ConfigError, EnsembleDef, ExperimentConfig, HarnessError,
+                            load_config, make_synthetic_eval_set, run_augmentation,
+                            run_evaluation)
 from capaug.llm import LlmConfig, LlmError, RawResponse, mock_complete
 from capaug.prompts import builtin_template
 from capaug.evaluation import EXTERNAL_PROCESS_BOUND, ensemble
@@ -274,6 +274,20 @@ class TestRunAugmentation:
         assert manifest.metadata["seed"] == 5
         assert manifest.metadata["created_at"] == \
             synthetic_manifest.metadata["created_at"]
+
+    def test_manifest_without_created_at_reruns_to_the_same_bytes(self, tmp_path, monkeypatch,
+                                                                   synthetic_manifest):
+        # the input's created_at is carried, and null when it has none: a stamp
+        # of the current time would make each rerun write different bytes
+        del synthetic_manifest.metadata["created_at"]
+        written = []
+        for now in ("2030-01-01T00:00:00Z", "2031-06-15T12:30:00Z"):
+            monkeypatch.setattr(corpus, "utc_now_iso", lambda now=now: now)
+            manifest, _ = run_augmentation(_mock_config(tmp_path), manifest=synthetic_manifest)
+            written.append((tmp_path / "run" / "manifest.json").read_bytes())
+        assert manifest.metadata["created_at"] is None
+        assert b'"created_at": null' in written[0]
+        assert written[0] == written[1]
 
     def test_empty_manifest(self):
         manifest, stats = run_augmentation(_mock_config(), manifest=new_manifest([]))
@@ -798,6 +812,33 @@ class TestRunEvaluation:
         assert alive_max == 1
         assert len(result.separators["pair"].per_clip) == 4
 
+    def test_an_estimate_no_ensemble_reads_is_dropped_once_written(self, tmp_path,
+                                                                   monkeypatch):
+        # "oracle" is no ensemble's member, so its estimate is gone before the
+        # clip's next separator runs
+        oracle_alive_at_identity = []
+        last_oracle = None
+        real_separate = evaluation.separate
+
+        def recording_separate(spec, *args):
+            nonlocal last_oracle
+            if spec.kind == "identity":
+                oracle_alive_at_identity.append(last_oracle() is not None)
+            estimate = real_separate(spec, *args)
+            if spec.kind == "oracle_irm":
+                last_oracle = weakref.ref(estimate)
+            return estimate
+
+        monkeypatch.setattr(evaluation, "separate", recording_separate)
+        monkeypatch.setattr(evaluation, "EXTERNAL_PROCESS_BOUND", 0)
+        result = run_evaluation(_eval_config(tmp_path, separators=[
+            ("oracle", SeparatorSpec(kind="oracle_irm")),
+            ("identity", SeparatorSpec(kind="identity"))]),
+            make_synthetic_eval_set(3, seed=7, duration_s=0.25))
+        assert oracle_alive_at_identity == [False] * 3
+        assert len(list((tmp_path / "eval" / "estimates" / "oracle").glob("*.wav"))) == 3
+        assert len(result.separators["oracle"].per_clip) == 3
+
     def test_ensemble_wav_is_ensemble_of_member_wavs(self, tmp_path):
         items = list(make_synthetic_eval_set(3, seed=8, duration_s=0.25))
         items[1].interference = None  # the oracle member fails on clip_001
@@ -947,19 +988,17 @@ class TestRunEvaluation:
         assert [s.clip_id for s in given["ens"].per_clip] == \
             ["clip_000", "clip_002", "clip_003", "clip_004"]
 
-    def test_clips_in_memory_stay_bounded_with_external_separator(self, tmp_path,
-                                                                  monkeypatch):
-        live, most_alive = [], 0
-        real_mix = evaluation.mix
+    def test_clips_in_memory_stay_bounded_with_external_separator(self, tmp_path):
+        # at each draw from the eval set, the clips drawn and not yet freed,
+        # the new one included: one per worker and one queued
+        live, alive_at_draw = [], []
 
-        def counting_mix(*args):
-            nonlocal most_alive
-            mixed = real_mix(*args)
-            live.append(weakref.ref(mixed.mixture))
-            most_alive = max(most_alive, sum(ref() is not None for ref in live))
-            return mixed
+        def recording(items):
+            for item in items:
+                live.append(weakref.ref(item.mixture))
+                alive_at_draw.append(sum(ref() is not None for ref in live))
+                yield item
 
-        monkeypatch.setattr(evaluation, "mix", counting_mix)
         script = tmp_path / "ext_identity.sh"
         script.write_text('exec cp -- "$1" "$3"\n')
         external = SeparatorSpec(kind="external",
@@ -967,10 +1006,10 @@ class TestRunEvaluation:
         result = run_evaluation(
             _eval_config(tmp_path, separators=[("ext", external),
                                                ("identity", SeparatorSpec(kind="identity"))]),
-            make_synthetic_eval_set(12, seed=14, duration_s=0.25))
+            recording(make_synthetic_eval_set(12, seed=14, duration_s=0.25)))
         assert len(live) == 12
         assert len(result.separators["ext"].per_clip) == 12
-        assert most_alive <= 2 * EXTERNAL_PROCESS_BOUND + 1
+        assert max(alive_at_draw) <= EXTERNAL_PROCESS_BOUND + 1, alive_at_draw
 
     def test_worker_threads_intern_no_strings(self, tmp_path, monkeypatch):
         # pathlib interns each component of a path; a new name interned per
@@ -1045,8 +1084,9 @@ class TestScoreClips:
             assert estimates["identity"] is item.mixture
             return estimates["identity"]
 
-        results = harness.score_clips(
-            read(items), {"identity": lambda item, _: item.mixture, "later": later}, 1e-8)
+        results = evaluation.score_clips(
+            read(items), {"identity": lambda item, _: item.mixture, "later": later}, 1e-8,
+            kept={"identity"})
         order = ["clip_002", "clip_001", "clip_000"]
         assert seen == order
         assert list(results) == ["identity", "later"]
@@ -1067,7 +1107,8 @@ class TestScoreClips:
                 return item.mixture
             return estimate_of
 
-        results = harness.score_clips(items, {n: estimator(n) for n in ("a", "b", "c")}, 0.0)
+        results = evaluation.score_clips(items, {n: estimator(n) for n in ("a", "b", "c")}, 0.0,
+                                         kept=())
         for result in results.values():
             assert result.failed == ["clip_001"]
             assert [s.clip_id for s in result.per_clip] == ["clip_000", "clip_002"]
@@ -1076,9 +1117,9 @@ class TestScoreClips:
 
 
 class TestMapInOrder:
-    def test_draws_at_most_two_items_per_worker_ahead(self):
+    def test_draws_at_most_one_item_more_than_workers(self):
         # ahead of the items finished: at every draw, items drawn minus items
-        # finished is at most 2 * workers
+        # finished is at most workers + 1, one per worker and one queued
         lock = threading.Lock()
         drawn = finished = 0
         ahead = []
@@ -1101,7 +1142,7 @@ class TestMapInOrder:
         assert harness._map_in_order(square, items(), workers=2) == \
             [i * i for i in range(50)]
         assert len(ahead) == 50
-        assert max(ahead) <= 4
+        assert max(ahead) <= 3
 
     def test_a_slow_item_holds_back_no_other(self):
         # item 0 can finish only once item 9 has run, so the pool has to keep
@@ -1159,6 +1200,24 @@ class TestSyntheticEvalSet:
                 assert got.sample_rate == want.sample_rate
                 assert got.samples.dtype == want.samples.dtype
                 assert got.samples.tobytes() == want.samples.tobytes(), stem
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           snr_db=st.one_of(st.none(), st.floats(-30.0, 30.0)),
+           duration_s=st.floats(0.01, 0.5))
+    @example(seed=0, snr_db=-30.0, duration_s=0.25)  # the peak is rescaled
+    @example(seed=0, snr_db=30.0, duration_s=0.25)  # it is not
+    @example(seed=1, snr_db=None, duration_s=0.5)
+    def test_clips_equal_mix_of_the_same_stems(self, seed, snr_db, duration_s):
+        # mixing in place on the clip's own stems keeps mix()'s bits
+        lazy = make_synthetic_eval_set(3, seed=seed, duration_s=duration_s, snr_db=snr_db)
+        reference = synthetic_eval_set_reference(3, seed=seed, duration_s=duration_s,
+                                                 snr_db=snr_db)
+        for item, expected in zip(lazy, reference):
+            for stem in ("mixture", "reference", "interference"):
+                got, want = getattr(item, stem).samples, getattr(expected, stem).samples
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), stem
 
     def test_sequence_builds_each_clip_when_read(self):
         items = make_synthetic_eval_set(5, seed=3, duration_s=0.25)

@@ -73,7 +73,7 @@ def test_every_public_name_still_resolves():
     assert capaug.audio.StftParams is capaug.StftParams
     assert capaug.metrics.MetricsTriple is capaug.MetricsTriple
     assert capaug.metrics.DEFAULT_CLAMP_DB == capaug.harness.DEFAULT_CLAMP_DB
-    from capaug.harness import EvalItem, score_clips, write_per_clip_csv  # noqa: F401
+    from capaug.evaluation import EvalItem, score_clips, write_per_clip_csv  # noqa: F401
 
 
 # the modules on the NumPy side of the line, which the text pipeline never loads

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,30 @@ def test_scorer_bits_match_the_squared_formulas(clip, eps):
     got = scorer(mixture, reference, eps)(estimate)
     assert struct.pack("<3d", got.sdr_db, got.sdri_db, got.si_sdr_db) == \
         struct.pack("<3d", *expected)
+
+
+def test_score_works_in_one_clip_length_buffer():
+    # the SDR's error, then the SI-SDR's projection and error, take turns in
+    # one array: equal to the three separate calls, bit for bit
+    rng = np.random.default_rng(15)
+    n = 64000
+    ref = rng.standard_normal(n)
+    mixture = ref + rng.standard_normal(n)
+    cases = [(ref, 1e-8), (ref, 0.0), (np.zeros(n), 1e-8)]  # the last a silent reference
+    for reference, eps in cases:
+        score = scorer(mixture, reference, eps)
+        for estimate in (ref + 0.3 * rng.standard_normal(n), Waveform(0.5 * mixture, 16000)):
+            tracemalloc.start()
+            try:
+                got = score(estimate)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            want = (sdr(estimate, reference, eps), sdri(estimate, mixture, reference, eps),
+                    si_sdr(estimate, reference, eps))
+            assert struct.pack("<3d", got.sdr_db, got.sdri_db, got.si_sdr_db) == \
+                struct.pack("<3d", *want)
+            assert 8 * n <= peak < 8 * n + 4096
 
 
 def test_scorer_refuses_an_unscorable_clip_up_front():

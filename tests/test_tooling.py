@@ -4,13 +4,15 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from capaug.cli import build_parser
 from capaug.corpus import read_manifest
-from capaug.harness import ExperimentConfig, run_augmentation
+from capaug.harness import ExperimentConfig, _map_in_order, run_augmentation
 from capaug.llm import LlmError, mock_complete
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -82,3 +84,31 @@ def test_readme_lists_the_files_of_an_augmentation_out_dir(tmp_path):
     _, stats = run_augmentation(ExperimentConfig(out_dir=str(out_dir)), manifest, one_failure)
     assert len(stats.gateway_failures()) == 1
     assert sorted(listed) == sorted(p.name for p in out_dir.iterdir())
+
+
+def test_readme_counts_the_clips_in_flight_that_evaluation_keeps():
+    # evaluation maps its clips on two worker threads: the most items drawn
+    # and unfinished at any draw is the count of clips in flight
+    words = {"two": 2, "three": 3, "four": 4, "five": 5}
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    count = words[re.search(r"at most (\w+) clips are in flight", text)[1]]
+    lock = threading.Lock()
+    drawn = finished = 0
+    in_flight = []
+
+    def items():
+        nonlocal drawn
+        for i in range(12):
+            with lock:
+                drawn += 1
+                in_flight.append(drawn - finished)
+            yield i
+
+    def work(i):
+        nonlocal finished
+        time.sleep(0.02)
+        with lock:
+            finished += 1
+
+    _map_in_order(work, items(), workers=2)
+    assert max(in_flight) == count
