@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 import importlib
 
 from .corpus import (ClipEntry, Manifest, SourceDataset, ingest_clotho, ingest_fsd50k,
-                     ingest_wavcaps, read_manifest, sample_training_pair, summarize,
-                     write_manifest)
+                     ingest_wavcaps, read_manifest, summarize, write_manifest)
 from .filtering import FilterReport, FilterRules, RejectReason, filter_captions, normalize, parse_numbered
 from .harness import ExperimentConfig, run_augmentation
 from .llm import LlmClient, LlmConfig, MockLlmClient, RawResponse, mock_complete
@@ -45,8 +44,7 @@ __all__ = [
     "__version__",
     "Waveform", "StftParams", "MixResult", "read_wav", "write_wav", "mix", "stft", "istft",
     "ClipEntry", "Manifest", "SourceDataset", "ingest_clotho", "ingest_fsd50k",
-    "ingest_wavcaps", "summarize", "sample_training_pair",
-    "read_manifest", "write_manifest",
+    "ingest_wavcaps", "summarize", "read_manifest", "write_manifest",
     "FilterRules", "FilterReport", "RejectReason", "parse_numbered", "normalize",
     "filter_captions",
     "ExperimentConfig", "EvalItem", "run_augmentation", "run_evaluation",

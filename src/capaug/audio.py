@@ -158,14 +158,13 @@ def mix(target: Waveform, interference: Waveform, snr_db: float) -> MixResult:
     factor, which preserves every energy ratio and therefore every dB metric.
     The inputs are left as they are.
     """
-    return _mix(target, interference, snr_db, in_place=False)
+    return _mix(Waveform(target.samples.copy(), target.sample_rate),
+                Waveform(interference.samples.copy(), interference.sample_rate), snr_db)
 
 
-def _mix(target: Waveform, interference: Waveform, snr_db: float,
-         in_place: bool) -> MixResult:
-    """:func:`mix`, which with ``in_place`` scales the stems over the inputs'
-    samples instead of copies of them: the same operations in the same order,
-    so the same bits."""
+def _mix(target: Waveform, interference: Waveform, snr_db: float) -> MixResult:
+    """:func:`mix`, which scales the stems in place: the result holds ``target``
+    and ``interference``, over their own samples."""
     if target.sample_rate != interference.sample_rate:
         raise ValueError("sample rate mismatch")
     if len(target) != len(interference):
@@ -175,28 +174,18 @@ def _mix(target: Waveform, interference: Waveform, snr_db: float,
     if e_t == 0.0 or e_i == 0.0:
         raise ValueError("zero-energy input")
     gain = math.sqrt(e_t / (e_i * 10.0 ** (snr_db / 10.0)))
-    scaled_interference = np.multiply(interference.samples, gain,
-                                      out=interference.samples if in_place else None)
-    mixture = target.samples + scaled_interference
-    target_samples = target.samples
+    interference.samples *= gain
+    mixture = target.samples + interference.samples
 
     rescale = 1.0
     peak = max(float(mixture.max()), -float(mixture.min()))  # max |x|, without a copy
     if peak > PEAK_LIMIT:
         rescale = PEAK_LIMIT / peak
         mixture *= rescale
-        scaled_interference *= rescale
-        target_samples = np.multiply(target_samples, rescale,
-                                     out=target_samples if in_place else None)
-
-    rate = target.sample_rate
-    return MixResult(
-        mixture=Waveform(mixture, rate),
-        target=Waveform(target_samples, rate),
-        interference=Waveform(scaled_interference, rate),
-        gain=gain,
-        rescale=rescale,
-    )
+        interference.samples *= rescale
+        target.samples *= rescale
+    return MixResult(mixture=Waveform(mixture, target.sample_rate), target=target,
+                     interference=interference, gain=gain, rescale=rescale)
 
 
 # The STFT runs in blocks of this many frames, through buffers of one block

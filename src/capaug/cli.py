@@ -18,7 +18,7 @@ from pathlib import Path
 import capaug  # its audio names load NumPy on first use, so only audio commands pay it
 
 from . import corpus
-from .filtering import FilterRules, filter_captions, parse_numbered
+from .filtering import FilterRules, encodes_utf8, filter_captions, parse_numbered
 from .harness import (DEFAULT_EVAL_EPSILON, ConfigError, ExperimentConfig, HarnessError,
                       load_config, run_augmentation)
 from .llm import LlmConfig
@@ -133,10 +133,10 @@ def cmd_filter(args) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.responses}:{line_no}: {exc}") from exc
             if not (isinstance(doc, dict) and "clip_id" in doc
-                    and isinstance(doc.get("response_text"), str)):
-                raise ConfigError(f"{args.responses}:{line_no}: expected "
-                                  "{clip_id, response_text} with a string response_text")
-            report = filter_captions(parse_numbered(doc["response_text"]), rules)
+                    and isinstance(text := doc.get("response_text"), str) and encodes_utf8(text)):
+                raise ConfigError(f"{args.responses}:{line_no}: expected {{clip_id, response_text}}"
+                                  " with a string response_text that UTF-8 can encode")
+            report = filter_captions(parse_numbered(text), rules)
             out_lines.append(json.dumps(
                 {"clip_id": doc["clip_id"], **report.to_dict()}, ensure_ascii=False))
     with corpus.open_replacing(args.out) as fh:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 
-from .filtering import normalize
+from .filtering import encodes_utf8, normalize
 
 TOOL_VERSION = "0.1.0"
 
@@ -91,7 +90,7 @@ class ClipEntry:
         and the field: a ``clip_id`` that is not a string, an ``audio_path``
         that is neither a string nor null, a ``source_dataset`` that is not
         one of :class:`SourceDataset`'s values, or captions that are not a
-        list of strings. So does an entry that is not an object.
+        list of strings UTF-8 can encode. So does an entry that is not an object.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"manifest entry {doc!r} is not an object")
@@ -106,8 +105,11 @@ class ClipEntry:
         if not (audio_path is None or isinstance(audio_path, str)):
             raise ValueError(f"clip {clip_id!r}: audio_path must be a string or null")
         for name, value in (("original_captions", original), ("augmented_captions", augmented)):
-            if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
-                raise ValueError(f"clip {clip_id!r}: {name} must be a list of strings")
+            # joined, the captions encode as UTF-8 exactly when each one does
+            if not (isinstance(value, list) and all(isinstance(c, str) for c in value)
+                    and encodes_utf8("".join(value))):
+                raise ValueError(f"clip {clip_id!r}: {name} must be a list of strings "
+                                 "that UTF-8 can encode")
         try:
             source_dataset = SourceDataset(source)
         except ValueError:
@@ -378,16 +380,3 @@ def summarize(manifest: Manifest) -> list[SummaryRow]:
     ))
     return rows
 
-
-def sample_training_pair(manifest: Manifest, include_augmented: bool = False,
-                         rng: random.Random | int = 0) -> tuple[str, str]:
-    """Draw (clip_id, caption): uniform over clips, then uniform over captions."""
-    if not manifest.entries:
-        raise ValueError("cannot sample from an empty manifest")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    entry = manifest.entries[rng.randrange(len(manifest.entries))]
-    captions = list(entry.original_captions)
-    if include_augmented:
-        captions.extend(entry.augmented_captions)
-    return entry.clip_id, captions[rng.randrange(len(captions))]

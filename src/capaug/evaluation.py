@@ -337,7 +337,7 @@ class _SyntheticEvalSet(Sequence):
         if snr_db is None:
             snr_db = float(rng.uniform(*self.snr_range))
         # the stems are this clip's own, so they are mixed in place
-        mixed = _mix(target, interference, snr_db, in_place=True)
+        mixed = _mix(target, interference, snr_db)
         return EvalItem(
             clip_id=f"clip_{i:03d}",
             mixture=mixed.mixture,

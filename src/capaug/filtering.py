@@ -2,7 +2,8 @@
 
 Responses arrive as free text with one candidate caption per line, usually
 carrying an enumeration marker. Candidates then pass through a fixed rule
-order so that reject reasons are deterministic: failure marker, banned word,
+order so that reject reasons are deterministic: text UTF-8 cannot encode (a
+lone surrogate, which no output file can hold), failure marker, banned word,
 too long, too short, empty after normalization, duplicate of an earlier
 accepted caption, overflow past the accepted budget.
 """
@@ -23,6 +24,7 @@ DEFAULT_MAX_ACCEPTED = 4
 
 # circled digits 1-20, "1.", "1)", "(1)", bullets and dashes
 _MARKER_RE = re.compile(r"^\s*(?:[①-⑳]|\(\d{1,3}\)|\d{1,3}[.)]|[-•–—])\s*")
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 
 class RejectReason(str, Enum):
@@ -33,6 +35,7 @@ class RejectReason(str, Enum):
     TOO_SHORT = "TooShort"
     EMPTY = "Empty"
     OVERFLOW = "Overflow"
+    UNENCODABLE = "Unencodable"
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,12 @@ _ASCII_PUNCTUATION = bytes(c for c in range(128)
                            if unicodedata.category(chr(c)).startswith("P"))
 
 
+def encodes_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: whether it holds no surrogate code
+    point, which a JSON ``"\\ud83d"`` escape without its pair parses to."""
+    return text.isascii() or _SURROGATE_RE.search(text) is None
+
+
 def normalize(caption: str) -> str:
     """Dedup key: lowercase, drop punctuation, collapse whitespace."""
     lowered = caption.lower()
@@ -163,7 +172,9 @@ def filter_captions(candidates: list[str], rules: FilterRules | None = None) -> 
     for caption in candidates:
         key = normalize(caption)
         words = len(caption.split())
-        if failure_key and (key == failure_key or key.startswith(failure_key)):
+        if not encodes_utf8(caption):
+            report.rejected.append((caption, RejectReason.UNENCODABLE))
+        elif failure_key and (key == failure_key or key.startswith(failure_key)):
             report.rejected.append((caption, RejectReason.FAILURE))
         elif _has_banned_token(caption, key, banned):
             report.rejected.append((caption, RejectReason.BANNED_WORD))

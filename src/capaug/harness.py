@@ -21,7 +21,7 @@ import threading
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
@@ -32,6 +32,7 @@ from .corpus import (Manifest, merge_augmented_captions, open_replacing, read_ma
 from .filtering import FilterRules, filter_captions, parse_numbered
 from .llm import LlmClient, LlmConfig, LlmError, MockLlmClient
 from .prompts import PromptKind, builtin_template, render
+from .reporting import DEFAULT_CLAMP_DB
 from .separation import SeparatorSpec
 
 logger = logging.getLogger(__name__)
@@ -43,7 +44,6 @@ JOURNAL_FILENAME = "responses.jsonl"
 ABORT_FAILURE_FRACTION = 0.5
 DEFAULT_EVAL_EPSILON = 1e-8
 DEFAULT_SNR_RANGE_DB = (-10.0, 10.0)
-DEFAULT_CLAMP_DB = 60.0
 
 # evaluation's names that the benchmark reads here; they load NumPy, so they
 # resolve on first use and a config or an augmentation run never loads it
@@ -181,7 +181,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         prompt, ensemble_docs = doc.get("prompt", {}), doc.get("ensembles", {})
-        llm_doc = dict(doc.get("llm", {"mock": True, "seed": 0}))
+        llm_doc = dict(doc.get("llm", {"mock": True}))
         use_mock = llm_doc.pop("mock", False)
         parts = [("config", doc, cls().to_dict()), ("prompt", prompt, ("kind", "count")),
                  ("llm", llm_doc, ("seed",) if use_mock else vars(LlmConfig()))]
@@ -203,23 +203,17 @@ class ExperimentConfig:
         ensembles = {name: EnsembleDef(tuple(d["members"]),
                                        tuple(d["weights"]) if d.get("weights") else None)
                      for name, d in ensemble_docs.items()}
-        return cls(
-            manifest_path=doc.get("manifest"),
-            prompt_kind=prompt.get("kind", PromptKind.MODIFIED_WAVCAPS.value),
-            requested_count=prompt.get("count", 4),
-            use_mock_llm=use_mock,
-            mock_seed=llm_doc.get("seed", 0) if use_mock else 0,
-            llm=None if use_mock else LlmConfig.from_dict(llm_doc),
-            filter_rules=FilterRules.from_dict(doc.get("filter_rules", {})),
-            separators=separators,
-            ensembles=ensembles,
-            snr_range=doc.get("snr_range", DEFAULT_SNR_RANGE_DB),
-            epsilon=doc.get("epsilon", DEFAULT_EVAL_EPSILON),
-            clamp_db=doc.get("clamp_db", DEFAULT_CLAMP_DB),
-            out_dir=doc.get("out_dir"),
-            seed=doc.get("seed", 0),
-            provenance=doc.get("provenance", {}),
-        )
+        # the fields the document gives, by field name; the others keep their defaults
+        field_of = {"manifest": "manifest_path", "kind": "prompt_kind", "count": "requested_count",
+                    "snr_range": "snr_range", "epsilon": "epsilon", "clamp_db": "clamp_db",
+                    "out_dir": "out_dir", "seed": "seed", "provenance": "provenance"}
+        given = {field_of[key]: value for key, value in [*doc.items(), *prompt.items()]
+                 if key in field_of}
+        if use_mock and "seed" in llm_doc:
+            given["mock_seed"] = llm_doc["seed"]
+        return cls(use_mock_llm=use_mock, llm=None if use_mock else LlmConfig.from_dict(llm_doc),
+                   filter_rules=FilterRules.from_dict(doc.get("filter_rules", {})),
+                   separators=separators, ensembles=ensembles, **given)
 
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
@@ -271,49 +265,36 @@ class AugmentationStats:
         }
 
 
-def _json_value(value, indent: str) -> str:
-    """``value`` as ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``
-    writes it ``indent`` deep, without its pure-Python encoder, for the types
-    augmentation stats hold: str, int, bool, None and str-keyed dicts of them."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is not dict:
-        raise TypeError(f"no stats value is a {kind.__name__}")
-    if not value:
-        return "{}"
-    inner = indent + "  "
-    items = ",\n".join([f"{inner}{encode_basestring(k)}: {_json_value(value[k], inner)}"
-                         for k in sorted(value)])
-    return f"{{\n{items}\n{indent}}}"
-
-
-# (name, its line prefix) for each stats field, in sorted order
-_CLIP_STATS_FIELDS = [(f.name, f'      "{f.name}": ')
-                      for f in sorted(fields(ClipAugmentation), key=lambda f: f.name)
-                      if f.name != "clip_id"]
-
-
 def _write_stats(stats: AugmentationStats, path) -> None:
     """Write ``{"per_clip": ..., "totals": ...}`` as ``json.dumps(doc, indent=2,
-    sort_keys=True, ensure_ascii=False)`` would, streamed one clip at a time."""
+    sort_keys=True, ensure_ascii=False)`` would, streamed one clip at a time, as
+    ``write_manifest`` streams its entries: each clip's fields in sorted order.
+    ``int.__repr__`` raises ``TypeError`` on a count that is not an int (NumPy's)."""
     with open_replacing(path) as fh:
         fh.write('{\n  "per_clip": {')
         separator = "\n"
         for cid in sorted(stats.per_clip):
-            values = vars(stats.per_clip[cid])
-            body = ",\n".join([prefix + _json_value(values[name], "      ")
-                                for name, prefix in _CLIP_STATS_FIELDS])
-            fh.write(f"{separator}    {encode_basestring(cid)}: {{\n{body}\n    }}")
+            s = stats.per_clip[cid]
+            error = "null" if s.error is None else encode_basestring(s.error)
+            index = "null" if s.seed_caption_index is None else int.__repr__(s.seed_caption_index)
+            rejected = ",\n        ".join([f"{encode_basestring(k)}: {int.__repr__(s.rejected[k])}"
+                                           for k in sorted(s.rejected)])
+            rejected = f"{{\n        {rejected}\n      }}" if rejected else "{}"
+            fh.write(f'{separator}    {encode_basestring(cid)}: {{\n'
+                     f'      "accepted": {int.__repr__(s.accepted)},\n'
+                     f'      "attach_skipped": {int.__repr__(s.attach_skipped)},\n'
+                     f'      "error": {error},\n'
+                     f'      "gateway_failed": {"true" if s.gateway_failed else "false"},\n'
+                     f'      "parsed": {int.__repr__(s.parsed)},\n'
+                     f'      "rejected": {rejected},\n'
+                     f'      "requested": {int.__repr__(s.requested)},\n'
+                     f'      "seed_caption_index": {index}\n    }}')
             separator = ",\n"
+        # json escapes every newline inside a string, so each one here is structural
+        totals = json.dumps(stats.totals(), indent=2, sort_keys=True,
+                            ensure_ascii=False).replace("\n", "\n  ")
         fh.write("}" if separator == "\n" else "\n  }")
-        fh.write(f',\n  "totals": {_json_value(stats.totals(), "  ")}\n}}\n')
+        fh.write(f',\n  "totals": {totals}\n}}\n')
 
 
 class _ResponseJournal:
@@ -356,6 +337,7 @@ class _ResponseJournal:
             text = self._complete_fn(prompt).text
             with self._lock:  # HTTP clips finish on worker threads
                 self._fh.write(f"{key}\t{encode_basestring_ascii(text)}\n")
+                self._fh.flush()  # a killed run keeps every reply it was sent
         return text
 
     def close(self) -> None:

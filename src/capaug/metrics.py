@@ -17,8 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .audio import Waveform
-from .harness import DEFAULT_CLAMP_DB
-from .reporting import MetricsTriple
+from .reporting import DEFAULT_CLAMP_DB, MetricsTriple
 
 Signal = Union[Waveform, np.ndarray, list]
 

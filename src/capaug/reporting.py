@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 FORMAT_MARKDOWN = "markdown"
 FORMAT_CSV = "csv"
+# the dB bound each per-clip metric is clamped to before it is averaged
+DEFAULT_CLAMP_DB = 60.0
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,9 @@ class TestFilter:
     def test_malformed_line_is_config_error(self, tmp_path, capsys):
         responses = tmp_path / "responses.jsonl"
         good = json.dumps({"clip_id": "a", "response_text": "① A dog barks outside."})
-        for bad in ({"clip_id": "a"}, {"clip_id": "a", "response_text": 3}, ["a"]):
+        # json.dumps escapes the lone surrogate, which no output file can hold
+        for bad in ({"clip_id": "a"}, {"clip_id": "a", "response_text": 3}, ["a"],
+                    {"clip_id": "a", "response_text": "① A dog barks outside \ud83d"}):
             responses.write_text(good + "\n" + json.dumps(bad))
             assert run_cli("filter", "--responses", responses,
                            "--out", tmp_path / "o.jsonl") == 2

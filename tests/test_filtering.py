@@ -148,6 +148,17 @@ def test_failure_prefix_match():
                                 RejectReason.FAILURE)]
 
 
+def test_text_utf8_cannot_encode_is_rejected_first():
+    # a lone surrogate, as a JSON "\ud83d" escape parses to: no output file can hold it
+    captions = ["a dog barks near the door \ud83d", "Failure \udc00", "a dog barks near the door"]
+    report = filter_captions(captions)
+    assert report.rejected == [(c, RejectReason.UNENCODABLE) for c in captions[:2]]
+    assert report.accepted == captions[2:]
+    assert report.reject_histogram() == {"Unencodable": 2}
+    assert filtering.encodes_utf8("a café ① 🐕")
+    assert not filtering.encodes_utf8("\ud83d\udc15")  # a pair, but of lone code points
+
+
 def test_empty_reason_for_punctuation_only():
     report = filter_captions(["!! ?? ... ---"])
     assert report.rejected == [("!! ?? ... ---", RejectReason.EMPTY)]

@@ -576,6 +576,36 @@ class TestRunAugmentation:
         assert len(calls) == 1
         assert journal.read_bytes() == whole  # the torn half is cut, not glued to
 
+    def test_journal_holds_every_reply_before_the_next_request(self, tmp_path,
+                                                                synthetic_manifest):
+        # what a process killed during its (k+1)-th request leaves: k whole lines
+        config = _mock_config(tmp_path)
+        journal = Path(config.out_dir) / harness.JOURNAL_FILENAME
+        seen = []
+
+        def reading(prompt):
+            data = journal.read_bytes()
+            seen.append((data.count(b"\n"), data[-1:] in (b"", b"\n")))
+            return mock_complete(prompt, 0)
+
+        run_augmentation(config, manifest=synthetic_manifest, complete_fn=reading)
+        assert seen == [(k, True) for k in range(10)]
+
+    def test_reply_utf8_cannot_encode_costs_only_its_caption(self, tmp_path,
+                                                              synthetic_manifest):
+        # a JSON "\ud83d" escape in a reply parses to a lone surrogate, which no
+        # output file can hold
+        reply = json.loads('"1. A dog barks near an open window \\ud83d\\n'
+                           '2. A kettle whistles on the stove"')
+        config = _mock_config(tmp_path)
+        _, stats = run_augmentation(config, synthetic_manifest,
+                                    lambda prompt: _stub_response(reply))
+        assert {s.rejected["Unencodable"] for s in stats.per_clip.values()} == {1}
+        assert read_manifest(Path(config.out_dir) / harness.MANIFEST_FILENAME)
+        written, calls = _outputs(config.out_dir), []
+        run_augmentation(config, synthetic_manifest, _counting(calls))  # a resume
+        assert calls == [] and _outputs(config.out_dir) == written
+
     def test_each_caption_is_normalized_once(self, tmp_path, data_dir, monkeypatch):
         config = _mock_config(tmp_path, manifest_path=str(data_dir / "synthetic_manifest.json"))
         calls = 0

@@ -73,6 +73,7 @@ def test_every_public_name_still_resolves():
     assert capaug.audio.StftParams is capaug.StftParams
     assert capaug.metrics.MetricsTriple is capaug.MetricsTriple
     assert capaug.metrics.DEFAULT_CLAMP_DB == capaug.harness.DEFAULT_CLAMP_DB
+    assert capaug.harness.DEFAULT_CLAMP_DB == capaug.reporting.DEFAULT_CLAMP_DB
     from capaug.evaluation import EvalItem, score_clips, write_per_clip_csv  # noqa: F401
 
 
@@ -104,6 +105,12 @@ def _imports(module: str) -> list[tuple[str, bool]]:
     short = {"capaug": "__init__", "numpy": "numpy"}
     return [(short.get(name.split(".")[0], name.removeprefix("capaug.")), in_function)
             for name, in_function in found]
+
+
+def test_numpy_side_imports_only_what_it_needs():
+    own = {path.stem for path in (SRC / "capaug").glob("*.py")}
+    assert {name for name, _ in _imports("metrics") if name in own} == {"audio", "reporting"}
+    assert {name for name, _ in _imports("audio") if name in own} == {"separation"}
 
 
 def test_no_function_local_imports():
